@@ -26,13 +26,12 @@ from .free_gca import Element, GeneratorSet, Monomial
 
 @dataclass
 class CohomologyBlock:
-    """Cocycles, coboundaries and canonical representatives in one
+    """Coboundaries and canonical cohomology representatives in one
     (degree, weight) block."""
 
     degree: int
     weight: tuple | None
     monomials: list
-    cocycles: list
     coboundaries: list
     representatives: list
 
@@ -245,7 +244,7 @@ class DGA:
         return cached
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
-        """Exact cocycles, coboundaries and a canonical complement basis.
+        """Exact coboundaries and a canonical basis of cohomology.
 
         The complement representatives are the canonical kernel-basis
         vectors at the non-pivot positions of the coboundary space, so the
@@ -256,7 +255,7 @@ class DGA:
             # zero differential: H^n = A^n on the nose
             monos = self.basis(n, w)
             elems = [Element(self.gs, {m: Fraction(1)}) for m in monos]
-            return CohomologyBlock(n, w, monos, list(elems), [], list(elems))
+            return CohomologyBlock(n, w, monos, [], elems)
         src, _, up = self.d_matrix(n, w)
         z_vecs = ela.kernel_basis(up)
         if n == 0:
@@ -286,13 +285,9 @@ class DGA:
             degree=n,
             weight=w,
             monomials=src,
-            cocycles=[to_elem(v) for v in z_vecs],
             coboundaries=[to_elem(v) for v in b_vecs],
             representatives=[to_elem(z_vecs[i]) for i in reps_idx],
         )
         if len(block.representatives) != len(z_vecs) - len(b_vecs):
             raise InternalInconsistency("coboundaries do not lie in cocycles")
         return block
-
-    def cohomology_dim(self, n: int, weight=None) -> int:
-        return self.cohomology(n, weight).dim

@@ -6,32 +6,17 @@ all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
 Matrices are stored sparsely (one ``{col: Fraction}`` dict per row); the
-elimination itself runs in an integer kernel with a compiled variant,
-selected at import.
+elimination itself runs on integer-cleared rows and divides by the pivot
+only when it emits the result.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotInImage
-
-if os.environ.get("SPHOMOTOPY_PURE"):
-    from ._elim_py import echelon as _echelon
-
-    BACKEND = "python"
-else:  # compiled kernel is optional
-    try:
-        from ._elim_cy import echelon as _echelon
-
-        BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on build environment
-        from ._elim_py import echelon as _echelon
-
-        BACKEND = "python"
-
 
 _ZERO = Fraction(0)
 
@@ -77,9 +62,6 @@ class RationalMatrix:
     def identity(cls, n: int):
         return cls(n, n, [{i: Fraction(1)} for i in range(n)])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, _ZERO)
-
     def to_dense(self):
         return [
             [self.rows[i].get(j, _ZERO) for j in range(self.ncols)]
@@ -121,6 +103,112 @@ def _int_rows(rows):
         nums = [int(row[c] * den) for c in cols]
         out.append((cols, nums))
     return out
+
+
+# -- the elimination kernel ----------------------------------------------------
+#
+# Rows enter as integer-cleared sparse vectors: parallel lists
+# ``(cols, nums)`` with ``cols`` strictly increasing. Every combined row is
+# divided by its content, so coefficients stay small.
+
+
+def _strip(cols, nums):
+    g = 0
+    for v in nums:
+        g = gcd(g, v)
+        if g == 1:
+            return cols, nums
+    if g > 1:
+        nums = [v // g for v in nums]
+    return cols, nums
+
+
+def _combine(tc, tn, pc, pn, a, b):
+    # a*target - b*pivot over sorted column lists
+    rc = []
+    rn = []
+    i = j = 0
+    li = len(tc)
+    lj = len(pc)
+    while i < li and j < lj:
+        ci = tc[i]
+        cj = pc[j]
+        if ci < cj:
+            rc.append(ci)
+            rn.append(a * tn[i])
+            i += 1
+        elif ci > cj:
+            rc.append(cj)
+            rn.append(-b * pn[j])
+            j += 1
+        else:
+            v = a * tn[i] - b * pn[j]
+            if v:
+                rc.append(ci)
+                rn.append(v)
+            i += 1
+            j += 1
+    while i < li:
+        rc.append(tc[i])
+        rn.append(a * tn[i])
+        i += 1
+    while j < lj:
+        rc.append(pc[j])
+        rn.append(-b * pn[j])
+        j += 1
+    return rc, rn
+
+
+def _echelon(int_rows):
+    """Return ``(pivot_cols, rref_rows)`` for integer sparse rows.
+
+    ``rref_rows[i]`` is a ``{col: Fraction}`` dict with a unit entry at
+    ``pivot_cols[i]``; pivot columns are strictly increasing.
+    """
+    by_lead = {}
+    seq = 0
+    for cols, nums in int_rows:
+        if cols:
+            by_lead.setdefault(cols[0], []).append((len(cols), seq, cols, nums))
+            seq += 1
+    pivots = []
+    while by_lead:
+        col = min(by_lead)
+        bucket = by_lead.pop(col)
+        bucket.sort(key=lambda r: (r[0], r[1]))
+        _, _, pc, pn = bucket[0]
+        a0 = pn[0]
+        for _, _, tc, tn in bucket[1:]:
+            b0 = tn[0]
+            g = gcd(a0, b0)
+            rc, rn = _combine(tc, tn, pc, pn, a0 // g, b0 // g)
+            rc, rn = _strip(rc, rn)
+            if rc:
+                by_lead.setdefault(rc[0], []).append((len(rc), seq, rc, rn))
+                seq += 1
+        pivots.append((col, pc, pn))
+
+    # clear pivot columns above each pivot, right to left
+    for i in range(len(pivots) - 1, 0, -1):
+        ci, pci, pni = pivots[i]
+        a0 = pni[0]
+        for j in range(i):
+            cj, tc, tn = pivots[j]
+            k = bisect_left(tc, ci)
+            if k < len(tc) and tc[k] == ci:
+                b0 = tn[k]
+                g = gcd(a0, b0)
+                rc, rn = _combine(tc, tn, pci, pni, a0 // g, b0 // g)
+                rc, rn = _strip(rc, rn)
+                pivots[j] = (cj, rc, rn)
+
+    pivot_cols = []
+    out = []
+    for col, cols, nums in pivots:
+        pivot_cols.append(col)
+        lead = nums[0]
+        out.append({c: Fraction(v, lead) for c, v in zip(cols, nums)})
+    return pivot_cols, out
 
 
 def _echelon_rows(rows):
@@ -170,20 +258,6 @@ def cokernel_complement_indices(image_gens, ambient_dim: int):
     pivots, _ = _echelon_rows(rows)
     pivot_set = set(pivots)
     return [j for j in range(ambient_dim) if j not in pivot_set]
-
-
-def cokernel_complement(image_gens, ambient_dim: int):
-    """Standard basis vectors spanning a canonical complement of the image.
-
-    The complement both represents the cokernel and splits the projection
-    onto it.
-    """
-    out = []
-    for j in cokernel_complement_indices(image_gens, ambient_dim):
-        vec = [_ZERO] * ambient_dim
-        vec[j] = Fraction(1)
-        out.append(tuple(vec))
-    return out
 
 
 def _solve_augmented(m: RationalMatrix, bs):

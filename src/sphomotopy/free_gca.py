@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import BudgetExceeded
+
 
 class Monomial(NamedTuple):
     """Canonical product of generators.
@@ -131,14 +133,6 @@ class GeneratorSet:
     def word_length(self, m: Monomial) -> int:
         return sum(e for _, e in m.even) + m.odd.bit_count()
 
-    def factors(self, m: Monomial):
-        """Generators of ``m`` in canonical order, with multiplicity."""
-        for o, e in m.even:
-            for _ in range(e):
-                yield self.even[o]
-        for o in _bits(m.odd):
-            yield self.odd[o]
-
     def mul_monomials(self, a: Monomial, b: Monomial):
         """Product with sign; returns (0, None) when an odd square appears."""
         if a.odd & b.odd:
@@ -228,6 +222,14 @@ class GeneratorSet:
                         counts[i] += counts[i - d]
             self._count_cache[key] = counts
         return counts[degree]
+
+    def check_budget(self, degrees, budget: int):
+        """Raise BudgetExceeded at the first degree with more monomials
+        than ``budget``; counts only, nothing is enumerated."""
+        for deg in degrees:
+            est = self.count_monomials(deg)
+            if est > budget:
+                raise BudgetExceeded(deg, est, budget)
 
     # -- element constructors ---------------------------------------------
 
@@ -364,22 +366,3 @@ def render_monomial(gs: GeneratorSet, m: Monomial) -> str:
     if odd:
         parts.append(odd)
     return "·".join(parts) if parts else "1"
-
-
-def product(x: Element, y: Element) -> Element:
-    """Bilinear product with the graded sign rule."""
-    return x * y
-
-
-def monomial_basis(gens: GeneratorSet, degree: int, weight=None):
-    return gens.basis(degree, weight)
-
-
-def filtration_component(x: Element, k: int) -> Element:
-    """Part of ``x`` of word length at least ``k``."""
-    return x.word_component(k, at_least=True)
-
-
-def word_length_component(x: Element, k: int) -> Element:
-    """Part of ``x`` of word length exactly ``k``."""
-    return x.word_component(k, at_least=False)

@@ -294,6 +294,3 @@ def betti_numbers(g: int):
             f"Betti cross-check failed: quotient {ring.betti} vs "
             f"decomposition {formula}")
     return list(ring.betti)
-
-
-betti = betti_numbers

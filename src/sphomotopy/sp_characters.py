@@ -191,10 +191,6 @@ def irrep_character(label) -> dict:
     return char
 
 
-def character_dimension(char: dict) -> int:
-    return sum(char.values())
-
-
 def decompose(char: dict) -> dict:
     """Greedy highest-weight peeling.
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 from . import exact_linalg as ela
 from . import moduli, sp_characters
 from .dga import DGA
-from .errors import (BudgetExceeded, InternalInconsistency,
-                     TargetNotOneConnected, ValidationFailure)
+from .errors import (InternalInconsistency, TargetNotOneConnected,
+                     ValidationFailure)
 from .free_gca import ONE, Element, GeneratorSet, Monomial
 
 DEFAULT_BUDGET = 500_000
@@ -56,12 +56,6 @@ class TargetAlgebra:
             raise TargetNotOneConnected("degree-0 part is not the ground field")
         if ring.dim(1) != 0:
             raise TargetNotOneConnected("degree-1 part is nonzero")
-
-    def dim(self, n: int) -> int:
-        return self.ring.dim(n)
-
-    def basis(self, n: int):
-        return self.ring.basis(n)
 
     def basis_by_weight(self, n: int) -> dict:
         cached = self._weight_cache.get(n)
@@ -173,10 +167,7 @@ class MinimalModel:
     # -- construction ----------------------------------------------------------
 
     def _check_budget(self, n: int):
-        for deg in (n, n + 1, n + 2):
-            est = self.dga.gs.count_monomials(deg)
-            if est > self.budget:
-                raise BudgetExceeded(deg, est, self.budget)
+        self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
 
     def _prune_caches(self):
         count = len(self.dga.gs)
@@ -311,20 +302,6 @@ class MinimalModel:
                             "injective": injective, "surjective": surjective,
                             "required": mode, "ok": ok})
         return QuasiIsoReport(entries)
-
-    def equivariant_report(self):
-        """Per-stage character and its decomposition into irreducibles."""
-        out = []
-        for s in self.stages:
-            char = s.character()
-            irreps = sp_characters.decompose(char)
-            out.append({
-                "degree": s.degree,
-                "dim": s.dim,
-                "character": char,
-                "irreps": irreps,
-            })
-        return out
 
     def check_minimality(self) -> list:
         """Generators whose differential has a word-length-1 term."""

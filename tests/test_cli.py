@@ -99,6 +99,35 @@ def test_budget_exceeded_clean_error():
     assert "estimated" in res.stderr
 
 
+def test_betti_budget_exceeded_clean_error():
+    res = run_cli("betti", "--genus", "4", "--budget", "100")
+    assert res.returncode == 1
+    assert "budget exceeded at degree" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("relations", "--genus", "0"),
+    ("minimal-model", "--genus", "2", "--max-degree", "1"),
+    ("minimal-model", "--genus", "2", "--target", "invariant",
+     "--max-degree", "3"),
+    ("verify", "--suite", "invariant-model", "--genus", "1"),
+], ids=["relations-genus-0", "model-degree-1", "invariant-degree-3",
+        "verify-invariant-genus-1"])
+def test_bad_input_one_line_error(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_empty_suite_fails():
+    res = run_cli("verify", "--suite", "leading", "--max-degree", "7",
+                  "--format", "json")
+    assert res.returncode != 0
+    payload = json.loads(res.stdout)
+    assert payload["ok"] is False and payload["checks"] == []
+
+
 @pytest.mark.parametrize("suite", ["low-degrees", "degree-bound", "invariant-model"])
 def test_verify_suites_pass(suite):
     res = run_cli("verify", "--suite", suite)

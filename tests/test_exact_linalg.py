@@ -46,10 +46,24 @@ def test_kernel_zero_matrix_full():
     assert basis[0] == (1, 0, 0)
 
 
+def complement(gens, dim):
+    """Unit vectors at the complement positions: they span a complement."""
+    return [tuple(int(i == j) for i in range(dim))
+            for j in ela.cokernel_complement_indices(gens, dim)]
+
+
 def test_cokernel_complement_cases():
-    assert ela.cokernel_complement([(1, 0), (0, 1)], 2) == []
-    assert ela.cokernel_complement([], 2) == [(1, 0), (0, 1)]
-    assert ela.cokernel_complement([(1, 1, 0)], 3) == [(0, 1, 0), (0, 0, 1)]
+    assert complement([(1, 0), (0, 1)], 2) == []
+    assert complement([], 2) == [(1, 0), (0, 1)]
+    assert complement([(1, 1, 0)], 3) == [(0, 1, 0), (0, 0, 1)]
+
+
+def test_echelon_unit_pivots():
+    rows = [([0, 2], [3, 6]), ([1, 2], [2, -4])]
+    pivots, rref = ela._echelon(rows)
+    assert pivots == [0, 1]
+    for p, row in zip(pivots, rref):
+        assert row[p] == 1
 
 
 def test_preimage_identity():
@@ -115,7 +129,7 @@ def test_complement_plus_image_spans(seed):
     dim = rng.randint(1, 7)
     gens = [tuple(F(rng.randint(-4, 4)) for _ in range(dim))
             for _ in range(rng.randint(0, 5))]
-    comp = ela.cokernel_complement(gens, dim)
+    comp = complement(gens, dim)
     stacked = ela.RationalMatrix.from_rows(
         [list(v) for v in gens] + [list(v) for v in comp], ncols=dim)
     r = ela.rank(ela.RationalMatrix.from_rows([list(v) for v in gens], ncols=dim))

@@ -62,10 +62,10 @@ def test_count_matches_enumeration(gs2):
 def test_filtration(gs2):
     a, g1, g2, b = (gs2.gen(n) for n in ("α", "γ1", "γ2", "β"))
     x = a + g1 * g2
-    assert fg.filtration_component(x, 2) == g1 * g2
-    assert fg.filtration_component(a, 2).is_zero()
+    assert x.word_component(2) == g1 * g2
+    assert a.word_component(2).is_zero()
     y = a * b + a * a * a
-    assert fg.word_length_component(y, 2) == a * b
+    assert y.word_component(2, at_least=False) == a * b
 
 
 def test_render_grammar(gs2):
