@@ -10,7 +10,9 @@ Two flavours share the class:
 
 A quotient is represented per degree by a canonical monomial transversal:
 the non-pivot monomials after row-reducing the span of the relations in
-that degree. Multiplication is multiply-then-reduce, which is well defined
+that degree. Every relation has one degree and one weight, so that span
+splits into (degree, weight) blocks, and each block is row-reduced on its
+own. Multiplication is multiply-then-reduce, which is well defined
 because the relations are homogeneous.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exact_linalg as ela
 from .errors import InternalInconsistency, ValidationFailure
@@ -49,6 +52,7 @@ class DGA:
         self._dmono_cache: dict = {}
         self._dmat_cache: dict = {}
         self._quot_cache: dict = {}
+        self._quot_index: dict = {}
         if differential:
             for name, img in differential.items():
                 self._set_d(gs[name].index, img, check)
@@ -58,8 +62,18 @@ class DGA:
             if any(not x.is_zero() for x in self.d_of.values()):
                 raise ValidationFailure(
                     "quotient targets must carry the zero differential")
-            for r in self.relations:
-                r.degree()  # homogeneity check
+            self._int_relations = []
+            for pos, r in enumerate(self.relations):
+                try:
+                    deg, wt = r.degree(), r.weight()
+                except ValueError as exc:
+                    raise ValidationFailure(f"relation {pos}: {exc}") from None
+                if deg is None:
+                    continue
+                # integer multiple of r: scaling a row leaves the RREF alone
+                den = lcm(*(c.denominator for c in r.terms.values()))
+                self._int_relations.append(
+                    (deg, wt, [(m, int(c * den)) for m, c in r.terms.items()]))
         if check:
             bad = self.check_d_squared()
             if bad:
@@ -161,29 +175,50 @@ class DGA:
         return len(self.basis(n))
 
     def _quotient_data(self, n: int):
-        """(monomials, transversal indices, pivot->row, rref rows) at degree n."""
+        """(monomials, transversal indices, pivot->row, rref rows) at degree n.
+
+        The span of the products r·m is block-diagonal over weights, and
+        the RREF of a block-diagonal matrix is the union of its blocks'
+        RREFs; RREF is unique, so eliminating block by block gives the
+        degree-wide result.
+        """
         cached = self._quot_cache.get(n)
         if cached is not None:
             return cached
         gs = self.gs
+        mul = gs.mul_monomials
         monos = gs.basis(n)
         index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for r in self.relations:
-            dr = r.degree()
-            if dr is None or dr > n:
+        blocks: dict = {}
+        for dr, wr, terms in self._int_relations:
+            if dr > n:
                 continue
-            for m in gs.basis(n - dr):
-                prod = r * gs.element({m: 1})
-                if prod.is_zero():
-                    continue
-                rows.append({index[mm]: c for mm, c in prod.terms.items()})
-        pivots, rref_rows = ela._echelon_rows(rows)
-        pivot_row = dict(zip(pivots, rref_rows))
-        pivot_set = set(pivots)
-        transversal = [i for i in range(len(monos)) if i not in pivot_set]
+            for wm, ms in gs.basis_by_weight(n - dr).items():
+                rows = blocks.setdefault(
+                    tuple(a + b for a, b in zip(wr, wm)), [])
+                for m in ms:
+                    # mr ↦ mr·m is injective, so no two terms of r share a
+                    # product monomial and no coefficients need summing
+                    row = {}
+                    odd = m.odd
+                    for mr, c in terms:
+                        if mr.odd & odd:
+                            continue  # an odd square: the product vanishes
+                        sign, mm = mul(mr, m)
+                        row[index[mm]] = sign * c
+                    if row:
+                        rows.append(row)
+        pairs = []
+        for rows in blocks.values():
+            if rows:
+                pairs.extend(zip(*ela._echelon_rows(rows)))
+        pairs.sort(key=lambda pr: pr[0])
+        pivot_row = dict(pairs)
+        rref_rows = [row for _, row in pairs]
+        transversal = [i for i in range(len(monos)) if i not in pivot_row]
         cached = (monos, transversal, pivot_row, rref_rows)
         self._quot_cache[n] = cached
+        self._quot_index[n] = index
         return cached
 
     def reduce(self, x: Element) -> Element:
@@ -197,7 +232,7 @@ class DGA:
         out = gs.zero()
         for n, terms in by_degree.items():
             monos, _, pivot_row, _ = self._quotient_data(n)
-            index = {m: i for i, m in enumerate(monos)}
+            index = self._quot_index[n]
             coords = {index[m]: c for m, c in terms.items()}
             for p in sorted(pivot_row):
                 c = coords.get(p)
@@ -261,12 +296,15 @@ class DGA:
         if n == 0:
             b_vecs = []
         else:
-            prev, _, down = self.d_matrix(n - 1, w)
-            img_rows = []
-            for j in range(down.ncols):
-                col = {i: row[j] for i, row in enumerate(down.rows) if j in row}
-                if col:
-                    img_rows.append(col)
+            # the columns of d: n-1 -> n span B^n; one pass over the
+            # entries transposes the rows (caching the columns instead
+            # would keep them alive for every block of the stage)
+            _, _, down = self.d_matrix(n - 1, w)
+            columns = [{} for _ in range(down.ncols)]
+            for i, row in enumerate(down.rows):
+                for j, v in row.items():
+                    columns[j][i] = v
+            img_rows = [col for col in columns if col]
             _, b_rref = ela._echelon_rows(img_rows)
             b_vecs = [tuple(r.get(i, Fraction(0)) for i in range(len(src)))
                       for r in b_rref]

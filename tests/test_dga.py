@@ -127,3 +127,24 @@ def test_quotient_reduce_multiply():
     assert ring.multiply(h, h).is_zero()
     assert ring.reduce(h) == h
     assert [ring.dim(n) for n in range(5)] == [1, 0, 1, 0, 0]
+
+
+def test_quotient_reduce_across_degrees():
+    gs = GeneratorSet(0)
+    gs.add("h", 2)
+    gs.add("k", 4)
+    h, k = gs.gen("h"), gs.gen("k")
+    ring = DGA(gs, {}, relations=[h * h - k])
+    # the pivots are h² in degree 4 and h·k in degree 6, so h² becomes k
+    # and h·k becomes h³; the second call reuses the cached index
+    x = h + h * h + h * k
+    assert ring.reduce(x) == h + k + h * h * h
+    assert ring.reduce(x) == h + k + h * h * h
+    assert ring.reduce(h * h * h - h * k).is_zero()
+
+
+def test_mixed_weight_relation_rejected():
+    gs = moduli.full_generators(2)
+    mixed = gs.gen("γ1") + gs.gen("γ2")  # degree 3, weights L1 and L2
+    with pytest.raises(ValidationFailure, match="^relation 1: "):
+        DGA(gs, {}, relations=[gs.gen("α") * gs.gen("α"), mixed])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli
 from sphomotopy.dga import DGA
 from sphomotopy.free_gca import Element
@@ -66,6 +67,51 @@ def test_relation_subspace_size_and_expansion():
     assert E[0] == a * a + b
     assert E[1] == a * b - 2 * (g1 * g3) - 2 * (g2 * g4)
     assert min(e.degree() for e in E) == 4  # lowest relation degree is 2g
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_relations_are_weight_homogeneous(g):
+    for e in moduli.relation_subspace_E(g):
+        assert e.weight() is not None
+
+
+def _whole_degree_quotient(ring, n):
+    """Reference: one elimination over every r·m product of degree n."""
+    gs = ring.gs
+    monos = gs.basis(n)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for r in ring.relations:
+        dr = r.degree()
+        if dr is None or dr > n:
+            continue
+        for m in gs.basis(n - dr):
+            prod = r * gs.element({m: 1})
+            if not prod.is_zero():
+                rows.append({index[mm]: c for mm, c in prod.terms.items()})
+    pivots, rref_rows = ela._echelon_rows(rows)
+    pivot_set = set(pivots)
+    transversal = [i for i in range(len(monos)) if i not in pivot_set]
+    return transversal, dict(zip(pivots, rref_rows)), rref_rows
+
+
+def _assert_blocked_matches_whole_degree(ring, g):
+    for n in range(6 * g - 2):
+        _, transversal, pivot_row, rref_rows = ring._quotient_data(n)
+        ref_transversal, ref_pivot_row, ref_rows = _whole_degree_quotient(ring, n)
+        assert transversal == ref_transversal, n
+        assert list(pivot_row.items()) == list(ref_pivot_row.items()), n
+        assert rref_rows == ref_rows, n
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_blocked_quotient_matches_whole_degree_full_ring(g):
+    _assert_blocked_matches_whole_degree(moduli.build_cohomology_algebra(g).dga, g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_blocked_quotient_matches_whole_degree_invariant_ring(g):
+    _assert_blocked_matches_whole_degree(moduli.invariant_ring(g), g)
 
 
 def test_betti_genus_2():
