@@ -169,7 +169,9 @@ def _suite_degree_bound(args):
 
 
 def _suite_higher_genus(args):
-    g = args.genus if args.genus and args.genus > 2 else 3
+    if args.genus is not None and args.genus <= 2:
+        raise ValueError("the higher-genus suite needs --genus >= 3")
+    g = args.genus if args.genus is not None else 3
     max_degree = args.max_degree or 2 * g + 1
     model = sullivan.build(sullivan.moduli_target(g), max_degree, args.budget)
     table = tables.low_degree_table(g)

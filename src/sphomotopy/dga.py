@@ -30,13 +30,20 @@ from .free_gca import Element, GeneratorSet, Monomial
 @dataclass
 class CohomologyBlock:
     """Coboundaries and canonical cohomology representatives in one
-    (degree, weight) block."""
+    (degree, weight) block.
+
+    ``coordinates`` gives each coboundary in the canonical basis of the
+    cocycles, and ``positions`` says which cocycle basis vector each
+    representative is.
+    """
 
     degree: int
     weight: tuple | None
     monomials: list
     coboundaries: list
     representatives: list
+    coordinates: list
+    positions: list
 
     @property
     def dim(self) -> int:
@@ -199,15 +206,16 @@ class DGA:
                 for m in ms:
                     # mr ↦ mr·m is injective, so no two terms of r share a
                     # product monomial and no coefficients need summing
-                    row = {}
+                    row = []
                     odd = m.odd
                     for mr, c in terms:
                         if mr.odd & odd:
                             continue  # an odd square: the product vanishes
                         sign, mm = mul(mr, m)
-                        row[index[mm]] = sign * c
+                        row.append((index[mm], sign * c))
                     if row:
-                        rows.append(row)
+                        row.sort()
+                        rows.append(tuple(zip(*row)))  # (cols, nums)
         pairs = []
         for rows in blocks.values():
             if rows:
@@ -281,51 +289,60 @@ class DGA:
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
         """Exact coboundaries and a canonical basis of cohomology.
 
-        The complement representatives are the canonical kernel-basis
-        vectors at the non-pivot positions of the coboundary space, so the
-        choice is reproducible and, blockwise, weight-pure.
+        The cocycles get the canonical kernel basis z_k of d(n): z_k is 1
+        at its free column f_k, which is its last nonzero entry, and 0 at
+        the other free columns. A cocycle b is therefore Σ_k b[f_k]·z_k.
+        The coboundaries are the RREF rows of the image of d(n-1), and the
+        representatives are the z_k at the non-pivot positions of the
+        coboundaries' coordinates, so the choice is reproducible and,
+        blockwise, weight-pure.
         """
         w = tuple(weight) if weight is not None else None
         if self.is_quotient():
             # zero differential: H^n = A^n on the nose
             monos = self.basis(n, w)
             elems = [Element(self.gs, {m: Fraction(1)}) for m in monos]
-            return CohomologyBlock(n, w, monos, [], elems)
+            return CohomologyBlock(n, w, monos, [], elems, [],
+                                   list(range(len(monos))))
         src, _, up = self.d_matrix(n, w)
         z_vecs = ela.kernel_basis(up)
-        if n == 0:
-            b_vecs = []
-        else:
-            # the columns of d: n-1 -> n span B^n; one pass over the
-            # entries transposes the rows (caching the columns instead
-            # would keep them alive for every block of the stage)
+        b_rows = []
+        if n > 0:
+            # the columns of d: n-1 -> n span B^n
             _, _, down = self.d_matrix(n - 1, w)
-            columns = [{} for _ in range(down.ncols)]
-            for i, row in enumerate(down.rows):
-                for j, v in row.items():
-                    columns[j][i] = v
-            img_rows = [col for col in columns if col]
-            _, b_rref = ela._echelon_rows(img_rows)
-            b_vecs = [tuple(r.get(i, Fraction(0)) for i in range(len(src)))
-                      for r in b_rref]
-        if not z_vecs:
-            reps_idx = []
-        elif not b_vecs:
-            reps_idx = list(range(len(z_vecs)))
-        else:
-            zmat = ela.RationalMatrix.from_columns(z_vecs, len(src))
-            b_in_z = ela.preimage_many(zmat, b_vecs)
-            reps_idx = ela.cokernel_complement_indices(b_in_z, len(z_vecs))
-        def to_elem(vec):
-            return Element(self.gs, {src[i]: v for i, v in enumerate(vec) if v})
-
-        block = CohomologyBlock(
+            _, b_rows = ela._echelon_rows(ela._int_rows(down.columns()))
+        if b_rows:
+            # B ⊆ Z: d(n) kills every coboundary
+            up_cols = up.columns()
+            for b in b_rows:
+                image: dict = {}
+                for j, c in b.items():
+                    for i, v in up_cols[j].items():
+                        image[i] = image.get(i, 0) + c * v
+                if any(image.values()):
+                    raise InternalInconsistency(
+                        "coboundaries do not lie in cocycles")
+        free = []
+        for z in z_vecs:
+            f = len(z) - 1
+            while not z[f]:
+                f -= 1
+            free.append(f)
+        coords = [{k: b[f] for k, f in enumerate(free) if f in b}
+                  for b in b_rows]
+        reps_idx = ela.cokernel_complement_indices(coords, len(z_vecs)) \
+            if coords else list(range(len(z_vecs)))
+        if len(reps_idx) != len(z_vecs) - len(b_rows):
+            raise InternalInconsistency("coboundaries are dependent in cocycles")
+        return CohomologyBlock(
             degree=n,
             weight=w,
             monomials=src,
-            coboundaries=[to_elem(v) for v in b_vecs],
-            representatives=[to_elem(z_vecs[i]) for i in reps_idx],
+            coboundaries=[Element(self.gs, {src[i]: v for i, v in b.items()})
+                          for b in b_rows],
+            representatives=[
+                Element(self.gs, {src[i]: v for i, v in enumerate(z_vecs[k]) if v})
+                for k in reps_idx],
+            coordinates=coords,
+            positions=reps_idx,
         )
-        if len(block.representatives) != len(z_vecs) - len(b_vecs):
-            raise InternalInconsistency("coboundaries do not lie in cocycles")
-        return block

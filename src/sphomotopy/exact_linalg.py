@@ -62,6 +62,14 @@ class RationalMatrix:
     def identity(cls, n: int):
         return cls(n, n, [{i: Fraction(1)} for i in range(n)])
 
+    def columns(self):
+        """One ``{row: value}`` dict per column, in one pass over the entries."""
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return cols
+
     def to_dense(self):
         return [
             [self.rows[i].get(j, _ZERO) for j in range(self.ncols)]
@@ -107,7 +115,7 @@ def _int_rows(rows):
 
 # -- the elimination kernel ----------------------------------------------------
 #
-# Rows enter as integer-cleared sparse vectors: parallel lists
+# Rows enter as integer-cleared sparse vectors: parallel sequences
 # ``(cols, nums)`` with ``cols`` strictly increasing. Every combined row is
 # divided by its content, so coefficients stay small.
 
@@ -159,9 +167,10 @@ def _combine(tc, tn, pc, pn, a, b):
     return rc, rn
 
 
-def _echelon(int_rows):
+def _echelon_rows(int_rows):
     """Return ``(pivot_cols, rref_rows)`` for integer sparse rows.
 
+    ``int_rows`` is a list of ``(cols, nums)`` pairs (see ``_int_rows``).
     ``rref_rows[i]`` is a ``{col: Fraction}`` dict with a unit entry at
     ``pivot_cols[i]``; pivot columns are strictly increasing.
     """
@@ -211,21 +220,17 @@ def _echelon(int_rows):
     return pivot_cols, out
 
 
-def _echelon_rows(rows):
-    return _echelon(_int_rows(rows))
-
-
 def rref(m: RationalMatrix):
     """Reduced row echelon form and its pivot columns.
 
     Zero rows are dropped from the result; ``len(pivots)`` is the rank.
     """
-    pivots, rows = _echelon_rows(m.rows)
+    pivots, rows = _echelon_rows(_int_rows(m.rows))
     return RationalMatrix(len(rows), m.ncols, rows), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_echelon_rows(m.rows)[0])
+    return len(_echelon_rows(_int_rows(m.rows))[0])
 
 
 def kernel_basis(m: RationalMatrix):
@@ -233,7 +238,7 @@ def kernel_basis(m: RationalMatrix):
 
     Empty list iff the matrix is injective on columns.
     """
-    pivots, rows = _echelon_rows(m.rows)
+    pivots, rows = _echelon_rows(_int_rows(m.rows))
     pivot_set = set(pivots)
     basis = []
     for f in range(m.ncols):
@@ -255,7 +260,7 @@ def cokernel_complement_indices(image_gens, ambient_dim: int):
     for g in image_gens:
         items = g.items() if isinstance(g, dict) else enumerate(g)
         rows.append({c: Fraction(v) for c, v in items if v})
-    pivots, _ = _echelon_rows(rows)
+    pivots, _ = _echelon_rows(_int_rows(rows))
     pivot_set = set(pivots)
     return [j for j in range(ambient_dim) if j not in pivot_set]
 
@@ -271,7 +276,7 @@ def _solve_augmented(m: RationalMatrix, bs):
                 if i >= m.nrows:
                     raise ValueError("right side longer than matrix height")
                 rows[i][col] = Fraction(v)
-    return _echelon_rows(rows)
+    return _echelon_rows(_int_rows(rows))
 
 
 def preimage_many(m: RationalMatrix, bs):

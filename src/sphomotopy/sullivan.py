@@ -11,7 +11,17 @@ Stage n adjoins two kinds of generators to the free model built so far:
   structure-map image is zero (the target differential vanishes, so there
   is nothing to correct).
 
-All splittings are the echelon-canonical complements and preimages from
+Only the N part computes cohomology. The model has no degree-1
+generators, so the degree-n generators leave the degree-(n+1) cochains
+and cocycles unchanged and only add their differentials to the
+coboundaries; the structure map kills coboundaries, so the image of the
+induced map on the next stage's H^{n+1} is the image the N pass just
+computed. Stage n therefore stores the complement of that image, and
+stage n+1 reads its C part from it. Injectivity on the next stage's
+H^{n+1} is certified in the N pass by a rank: the new differentials are
+independent modulo the coboundaries.
+
+All splittings are the echelon-canonical complements from
 ``exact_linalg``, computed one torus-weight block at a time. Blockwise
 computation keeps every choice weight-pure, so the generator weights of
 each stage form the character of the corresponding symplectic module and
@@ -128,6 +138,9 @@ class MinimalModel:
         self._rho_mono_cache: dict = {}
         self._rho_zero_odd = 0
         self._rho_zero_even: set = set()
+        # (n, {weight: complement positions in A^n_w}) for the next stage;
+        # H^2 of the empty model is 0
+        self._complements: tuple = (2, {})
 
     # -- structure map -------------------------------------------------------
 
@@ -195,9 +208,10 @@ class MinimalModel:
     def extend_stage(self, n: int) -> MinimalModelStage:
         """Compute and adjoin the degree-n generators.
 
-        Requires all earlier stages; performs the stagewise consistency
-        checks (injectivity of the induced map below, exactness of the
-        complement, weight preservation) as it goes.
+        Requires all earlier stages, built by this method: the C part is
+        the complement stored by stage n-1. Performs the stagewise
+        consistency checks (injectivity of the induced map on the next
+        stage's H^{n+1}, weight preservation) as it goes.
         """
         if n < 2:
             raise ValueError("stages start at degree 2")
@@ -217,35 +231,49 @@ class MinimalModel:
             counters[w] = k + 1
             return f"v{n}_" + ",".join(str(c) for c in w) + f"_{k}"
 
-        # C part: complement of the induced image in target degree n
-        a_blocks = A.basis_by_weight(n)
-        h_weights = set(gs.basis_by_weight(n))
+        # C part: complement of the induced image in target degree n, as
+        # the previous stage's N pass found it
+        degree, complements = self._complements
+        if degree != n:
+            raise ValueError(f"stage {n - 1} was not built by extend_stage")
         c_plan = []
-        for w in sorted(set(a_blocks) | h_weights):
-            blk = self.dga.cohomology(n, w)
-            vecs = [A.coords_block(self.rho_star(rep), n, w)
-                    for rep in blk.representatives]
-            a_basis = a_blocks.get(w, [])
-            if vecs:
-                mat = ela.RationalMatrix.from_rows(vecs, len(a_basis))
-                if ela.rank(mat) != len(vecs):
-                    raise InternalInconsistency(
-                        f"induced map not injective on H^{n} at weight {w}")
-            for pos in ela.cokernel_complement_indices(vecs, len(a_basis)):
+        for w, a_basis in sorted(A.basis_by_weight(n).items()):
+            for pos in complements.get(w, range(len(a_basis))):
                 c_plan.append((w, a_basis[pos]))
 
-        # N part: kernel of the induced map on degree-(n+1) cohomology
+        # N part: kernel of the induced map on degree-(n+1) cohomology. Its
+        # image is also the image on the next stage's H^{n+1}: the degree-n
+        # generators leave Z^{n+1} alone and ρ* kills coboundaries.
         n_plan = []
+        complements = {}
+        a_next = A.basis_by_weight(n + 1)
         for w in sorted(gs.basis_by_weight(n + 1)):
             blk = self.dga.cohomology(n + 1, w)
             if blk.dim == 0:
                 continue
             cols = [A.coords_block(self.rho_star(rep), n + 1, w)
                     for rep in blk.representatives]
-            a_dim = len(A.basis_by_weight(n + 1).get(w, []))
+            a_dim = len(a_next.get(w, []))
+            complements[w] = ela.cokernel_complement_indices(cols, a_dim)
             mat = ela.RationalMatrix.from_columns(cols, a_dim)
             mat.ncols = blk.dim
-            for kv in ela.kernel_basis(mat):
+            kernel = ela.kernel_basis(mat)
+            # injectivity on the next stage's H^{n+1}: rank ρ* = dim H - #N
+            # (the complement and the kernel come from two eliminations),
+            # and the new d(v) are independent modulo B, so the next stage's
+            # H^{n+1} has dimension dim H - #N as well
+            if a_dim - len(complements[w]) != blk.dim - len(kernel):
+                raise InternalInconsistency(
+                    f"image and kernel ranks disagree on H^{n + 1} at weight {w}")
+            if kernel:
+                rows = blk.coordinates + [
+                    {blk.positions[j]: c for j, c in enumerate(kv) if c}
+                    for kv in kernel]
+                width = len(blk.coboundaries) + blk.dim
+                if ela.rank(ela.RationalMatrix.from_rows(rows, width)) != len(rows):
+                    raise InternalInconsistency(
+                        f"induced map not injective on H^{n + 1} at weight {w}")
+            for kv in kernel:
                 d_img = gs.zero()
                 for j, c in enumerate(kv):
                     if c:
@@ -264,6 +292,7 @@ class MinimalModel:
                            d_img, A.gs.zero())
         stage = MinimalModelStage(n, stage_gens)
         self.stages.append(stage)
+        self._complements = (n + 1, complements)
         return stage
 
     # -- reports ---------------------------------------------------------------

@@ -150,6 +150,14 @@ def test_verify_higher_genus_3():
     assert "PASS suite higher-genus" in res.stdout
 
 
+@pytest.mark.parametrize("genus", ["2", "0"])
+def test_verify_higher_genus_rejects_low_genus(genus):
+    res = run_cli("verify", "--suite", "higher-genus", "--genus", genus)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "PASS" not in res.stdout
+
+
 def test_golden_model_dump():
     """The genus-2 dump must match the stored golden file byte for byte
     (names, weights, differentials and structure-map images included)."""

@@ -1,8 +1,9 @@
 import pytest
 
-from sphomotopy import moduli
+from sphomotopy import exact_linalg as ela
+from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA
-from sphomotopy.errors import ValidationFailure
+from sphomotopy.errors import InternalInconsistency, ValidationFailure
 from sphomotopy.free_gca import GeneratorSet
 
 
@@ -113,7 +114,6 @@ def test_euler_characteristic_with_boundary_term(sphere_model):
         lhs += sign * len(sphere_model.basis(n))
         rhs += sign * sphere_model.cohomology(n).dim
     _, _, up = sphere_model.d_matrix(top)
-    from sphomotopy import exact_linalg as ela
     boundary = ela.rank(up)
     assert lhs == rhs + (-1 if top % 2 else 1) * boundary
 
@@ -148,3 +148,68 @@ def test_mixed_weight_relation_rejected():
     mixed = gs.gen("γ1") + gs.gen("γ2")  # degree 3, weights L1 and L2
     with pytest.raises(ValidationFailure, match="^relation 1: "):
         DGA(gs, {}, relations=[gs.gen("α") * gs.gen("α"), mixed])
+
+
+def test_coboundary_coordinates_read_off_free_columns():
+    """b = Σ_k b[f_k]·z_k for every coboundary b, where z_k is the
+    canonical kernel vector of d(n) with free column f_k."""
+    dga = sullivan.build(sullivan.moduli_target(2), 8).dga
+    checked = 0
+    for n in range(9):
+        for w in sorted(dga.gs.basis_by_weight(n)):
+            blk = dga.cohomology(n, w)
+            src, _, up = dga.d_matrix(n, w)
+            z_vecs = ela.kernel_basis(up)
+            free = [max(i for i, v in enumerate(z) if v) for z in z_vecs]
+            index = {m: i for i, m in enumerate(src)}
+            for b, coords in zip(blk.coboundaries, blk.coordinates):
+                vec = [0] * len(src)
+                for m, c in b.terms.items():
+                    vec[index[m]] = c
+                assert coords == {k: vec[f] for k, f in enumerate(free) if vec[f]}
+                recon = [sum(vec[f] * z[i] for f, z in zip(free, z_vecs))
+                         for i in range(len(src))]
+                assert recon == vec
+                checked += 1
+    assert checked > 50
+
+
+def test_coboundary_outside_cocycles_detected():
+    # d(b) = a² and d(c) = a·b + e give d(d(c)) = a³, so the coboundary
+    # a·b + e of degree 5 is not a cocycle; it still has the nonzero
+    # coordinate 1 on the cocycle e, so only the explicit check sees it
+    gs = GeneratorSet(0)
+    gs.add("a", 2)
+    gs.add("b", 3)
+    gs.add("c", 4)
+    gs.add("e", 5)
+    a, b, e = gs.gen("a"), gs.gen("b"), gs.gen("e")
+    broken = DGA(gs, {"b": a * a, "c": a * b + e}, check=False)
+    assert broken.check_d_squared() == ["c"]
+    with pytest.raises(InternalInconsistency):
+        broken.cohomology(5)
+
+
+def test_stage_computes_only_next_degree_cohomology(monkeypatch):
+    """Stage n reads its C part off stage n-1, so it computes cohomology in
+    degree n+1 only."""
+    calls = []
+    current = []
+    cohomology = DGA.cohomology
+    extend_stage = sullivan.MinimalModel.extend_stage
+
+    def traced_cohomology(self, n, weight=None):
+        calls.append((current[-1], n))
+        return cohomology(self, n, weight)
+
+    def traced_extend_stage(self, n):
+        current.append(n)
+        return extend_stage(self, n)
+
+    monkeypatch.setattr(DGA, "cohomology", traced_cohomology)
+    monkeypatch.setattr(sullivan.MinimalModel, "extend_stage",
+                        traced_extend_stage)
+    sullivan.build(sullivan.moduli_target(2), 8)
+    # the empty model has no degree-3 monomials, so stage 2 computes none
+    assert {stage for stage, _ in calls} == set(range(3, 9))
+    assert all(n == stage + 1 for stage, n in calls)

@@ -60,7 +60,7 @@ def test_cokernel_complement_cases():
 
 def test_echelon_unit_pivots():
     rows = [([0, 2], [3, 6]), ([1, 2], [2, -4])]
-    pivots, rref = ela._echelon(rows)
+    pivots, rref = ela._echelon_rows(rows)
     assert pivots == [0, 1]
     for p, row in zip(pivots, rref):
         assert row[p] == 1

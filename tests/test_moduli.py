@@ -89,7 +89,7 @@ def _whole_degree_quotient(ring, n):
             prod = r * gs.element({m: 1})
             if not prod.is_zero():
                 rows.append({index[mm]: c for mm, c in prod.terms.items()})
-    pivots, rref_rows = ela._echelon_rows(rows)
+    pivots, rref_rows = ela._echelon_rows(ela._int_rows(rows))
     pivot_set = set(pivots)
     transversal = [i for i in range(len(monos)) if i not in pivot_set]
     return transversal, dict(zip(pivots, rref_rows)), rref_rows

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli, sp_characters, sullivan, tables
 from sphomotopy.dga import DGA
-from sphomotopy.errors import (BudgetExceeded, TargetNotOneConnected,
-                               ValidationFailure)
+from sphomotopy.errors import (BudgetExceeded, InternalInconsistency,
+                               TargetNotOneConnected, ValidationFailure)
 from sphomotopy.free_gca import Element, GeneratorSet
 
 
@@ -158,6 +160,63 @@ def test_genus3_low_degrees():
     assert gen5.d_image.degree() == 6
     assert model.rho_star(gen5.d_image).is_zero()
     assert len(gen5.d_image.terms) == len(expanded.terms)
+
+
+def _reference_c_plan(model, n):
+    """The C part of stage n recomputed from the current model: H^n, the
+    induced map, and the complement of its image."""
+    A = model.target
+    a_blocks = A.basis_by_weight(n)
+    plan = []
+    for w in sorted(set(a_blocks) | set(model.dga.gs.basis_by_weight(n))):
+        blk = model.dga.cohomology(n, w)
+        vecs = [A.coords_block(model.rho_star(rep), n, w)
+                for rep in blk.representatives]
+        a_basis = a_blocks.get(w, [])
+        if vecs:
+            mat = ela.RationalMatrix.from_rows(vecs, len(a_basis))
+            assert ela.rank(mat) == len(vecs)  # injective on H^n
+        for pos in ela.cokernel_complement_indices(vecs, len(a_basis)):
+            plan.append((w, Element(A.gs, {a_basis[pos]: Fraction(1)})))
+    return plan
+
+
+@pytest.mark.parametrize("g, top", [(2, 9), (3, 7)])
+def test_reused_c_plan_matches_recomputation(g, top):
+    model = sullivan.MinimalModel(sullivan.moduli_target(g))
+    c_gens = 0
+    for n in range(2, top + 1):
+        want = _reference_c_plan(model, n)
+        stage = model.extend_stage(n)
+        got = [(gen.weight, gen.rho_image) for gen in stage.generators
+               if gen.part == "C"]
+        assert got == want, n
+        c_gens += len(got)
+    assert c_gens > 1
+
+
+def test_transgression_into_coboundaries_rejected(monkeypatch):
+    """A kernel class that were already a coboundary would leave H^{n+1}
+    as it is, so the induced map would not become injective there."""
+    cohomology = DGA.cohomology
+
+    def kernel_claimed_bounding(self, n, weight=None):
+        blk = cohomology(self, n, weight)
+        blk.coordinates = blk.coordinates + [{p: Fraction(1)}
+                                             for p in blk.positions]
+        return blk
+
+    model = sullivan.MinimalModel(sphere_target())
+    model.extend_stage(2)
+    monkeypatch.setattr(DGA, "cohomology", kernel_claimed_bounding)
+    with pytest.raises(InternalInconsistency, match="not injective on H"):
+        model.extend_stage(3)
+
+
+def test_stage_after_hand_built_stages_rejected():
+    model = sullivan.invariant_model(2, 13)
+    with pytest.raises(ValueError):
+        model.extend_stage(14)
 
 
 def test_budget_guard():
