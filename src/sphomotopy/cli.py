@@ -133,7 +133,7 @@ def _suite_low_degrees(args):
 
 
 def _suite_leading(args):
-    max_degree = args.max_degree or 10
+    max_degree = 10 if args.max_degree is None else args.max_degree
     model = sullivan.build(sullivan.moduli_target(2), max_degree, args.budget)
     checks = []
     for n in range(8, max_degree + 1):
@@ -154,7 +154,7 @@ def _suite_leading(args):
 
 
 def _suite_degree_bound(args):
-    max_degree = args.max_degree or 10
+    max_degree = 10 if args.max_degree is None else args.max_degree
     model = sullivan.build(sullivan.moduli_target(2), max_degree, args.budget)
     checks = []
     for s in model.stages:
@@ -172,7 +172,7 @@ def _suite_higher_genus(args):
     if args.genus is not None and args.genus <= 2:
         raise ValueError("the higher-genus suite needs --genus >= 3")
     g = args.genus if args.genus is not None else 3
-    max_degree = args.max_degree or 2 * g + 1
+    max_degree = 2 * g + 1 if args.max_degree is None else args.max_degree
     model = sullivan.build(sullivan.moduli_target(g), max_degree, args.budget)
     table = tables.low_degree_table(g)
     checks = []
@@ -189,8 +189,10 @@ def _suite_higher_genus(args):
 
 
 def _suite_invariant_model(args):
-    g = args.genus if args.genus else 2
-    max_degree = args.max_degree or (13 if g == 2 else 2 * (2 * g + 3))
+    g = 2 if args.genus is None else args.genus
+    max_degree = args.max_degree
+    if max_degree is None:
+        max_degree = 13 if g == 2 else 2 * (2 * g + 3)
     model = sullivan.invariant_model(g, max_degree, args.budget)
     q = moduli.q_polynomials(g)
     expected = {

@@ -281,7 +281,6 @@ class DGA:
                         "differential left the (degree, weight) block") from None
             columns.append(col)
         mat = ela.RationalMatrix.from_columns(columns, len(dst))
-        mat.ncols = len(src)
         cached = (src, dst, mat)
         self._dmat_cache[key] = cached
         return cached
@@ -322,12 +321,7 @@ class DGA:
                 if any(image.values()):
                     raise InternalInconsistency(
                         "coboundaries do not lie in cocycles")
-        free = []
-        for z in z_vecs:
-            f = len(z) - 1
-            while not z[f]:
-                f -= 1
-            free.append(f)
+        free = [max(z) for z in z_vecs]
         coords = [{k: b[f] for k, f in enumerate(free) if f in b}
                   for b in b_rows]
         reps_idx = ela.cokernel_complement_indices(coords, len(z_vecs)) \
@@ -341,7 +335,7 @@ class DGA:
             coboundaries=[Element(self.gs, {src[i]: v for i, v in b.items()})
                           for b in b_rows],
             representatives=[
-                Element(self.gs, {src[i]: v for i, v in enumerate(z_vecs[k]) if v})
+                Element(self.gs, {src[i]: v for i, v in z_vecs[k].items()})
                 for k in reps_idx],
             coordinates=coords,
             positions=reps_idx,

@@ -5,9 +5,12 @@ through the reduced row echelon form computed here. RREF is unique, so
 all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
-Matrices are stored sparsely (one ``{col: Fraction}`` dict per row); the
-elimination itself runs on integer-cleared rows and divides by the pivot
-only when it emits the result.
+Rows, columns and vectors are sparse ``{index: Fraction}`` dicts without
+zero entries, in and out: a matrix is one such dict per row, and kernel
+vectors come back in the same form. The elimination itself runs on
+private integer-cleared ``(cols, nums)`` rows and divides by the pivot
+only when it emits the result. Only the preimage solver, which the
+benchmark tracer still wraps, takes and returns dense vectors.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from math import gcd, lcm
 from .errors import NotInImage
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class RationalMatrix:
@@ -32,35 +36,22 @@ class RationalMatrix:
         self.rows = rows if rows is not None else [{} for _ in range(nrows)]
 
     @classmethod
-    def from_rows(cls, dense_rows, ncols=None):
-        rows = []
-        width = ncols
-        for r in dense_rows:
-            if isinstance(r, dict):
-                rows.append({c: Fraction(v) for c, v in r.items() if v})
-            else:
-                r = list(r)
-                width = len(r) if width is None else width
-                rows.append({c: Fraction(v) for c, v in enumerate(r) if v})
-        if width is None:
-            raise ValueError("ncols required for dict rows")
-        return cls(len(rows), width, rows)
+    def from_rows(cls, rows, ncols: int):
+        rows = [{c: v for c, v in r.items() if v} for r in rows]
+        return cls(len(rows), ncols, rows)
 
     @classmethod
     def from_columns(cls, columns, nrows: int):
         rows = [{} for _ in range(nrows)]
-        ncols = 0
         for j, col in enumerate(columns):
-            ncols = j + 1
-            items = col.items() if isinstance(col, dict) else enumerate(col)
-            for i, v in items:
+            for i, v in col.items():
                 if v:
-                    rows[i][j] = Fraction(v)
-        return cls(nrows, ncols, rows)
+                    rows[i][j] = v
+        return cls(nrows, len(columns), rows)
 
     @classmethod
     def identity(cls, n: int):
-        return cls(n, n, [{i: Fraction(1)} for i in range(n)])
+        return cls(n, n, [{i: _ONE} for i in range(n)])
 
     def columns(self):
         """One ``{row: value}`` dict per column, in one pass over the entries."""
@@ -76,17 +67,14 @@ class RationalMatrix:
             for i in range(self.nrows)
         ]
 
-    def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
-        out = []
-        for row in self.rows:
-            s = _ZERO
-            for c, v in row.items():
-                x = vec[c]
-                if x:
-                    s += v * x
-            out.append(s)
-        return tuple(out)
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector, as a sparse vector."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            s = sum(v * vec[c] for c, v in row.items() if c in vec)
+            if s:
+                out[i] = s
+        return out
 
     def __eq__(self, other):
         return (
@@ -234,33 +222,26 @@ def rank(m: RationalMatrix) -> int:
 
 
 def kernel_basis(m: RationalMatrix):
-    """Canonical null-space basis: one vector per free column, free entry 1.
+    """Canonical null-space basis: one sparse vector per free column f,
+    with entry 1 at f and -rref[i][f] at each pivot p_i. f is the
+    vector's largest index.
 
     Empty list iff the matrix is injective on columns.
     """
     pivots, rows = _echelon_rows(_int_rows(m.rows))
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        vec = [_ZERO] * m.ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v = rows[i].get(f)
-            if v:
-                vec[p] = -v
-        basis.append(tuple(vec))
-    return basis
+    basis = {f: {f: _ONE} for f in range(m.ncols) if f not in pivot_set}
+    for p, row in zip(pivots, rows):
+        for f, v in row.items():
+            if f != p:  # an RREF row is zero at the other pivot columns
+                basis[f][p] = -v
+    return list(basis.values())
 
 
 def cokernel_complement_indices(image_gens, ambient_dim: int):
-    """Non-pivot positions of the RREF of ``span(image_gens)``."""
-    rows = []
-    for g in image_gens:
-        items = g.items() if isinstance(g, dict) else enumerate(g)
-        rows.append({c: Fraction(v) for c, v in items if v})
-    pivots, _ = _echelon_rows(_int_rows(rows))
+    """Non-pivot positions of the RREF of ``span(image_gens)``, given as
+    sparse vectors."""
+    pivots, _ = _echelon_rows(_int_rows(image_gens))
     pivot_set = set(pivots)
     return [j for j in range(ambient_dim) if j not in pivot_set]
 

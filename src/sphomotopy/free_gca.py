@@ -96,6 +96,10 @@ class GeneratorSet:
         self.gens.append(g)
         pool.append(g)
         self._by_name[name] = g
+        # degrees are positive, so only bases of degree >= g.degree change
+        for cache in (self._basis_cache, self._count_cache):
+            for k in [k for k in cache if k >= degree]:
+                del cache[k]
         return g
 
     def __len__(self):
@@ -164,15 +168,14 @@ class GeneratorSet:
         return list(by_w.get(tuple(weight), ()))
 
     def basis_by_weight(self, degree: int) -> dict:
-        key = (len(self.gens), degree)
-        cached = self._basis_cache.get(key)
+        cached = self._basis_cache.get(degree)
         if cached is None:
             monos = sorted(self._enumerate(degree))
             by_w: dict = {}
             for m in monos:
                 by_w.setdefault(self.weight(m), []).append(m)
             cached = by_w
-            self._basis_cache[key] = cached
+            self._basis_cache[degree] = cached
         return cached
 
     def _enumerate(self, degree: int):
@@ -206,8 +209,7 @@ class GeneratorSet:
 
     def count_monomials(self, degree: int) -> int:
         """Monomial count by series coefficients; no enumeration."""
-        key = (len(self.gens), degree)
-        counts = self._count_cache.get(key)
+        counts = self._count_cache.get(degree)
         if counts is None:
             counts = [1] + [0] * degree
             for g in self.gens:
@@ -220,7 +222,7 @@ class GeneratorSet:
                 else:
                     for i in range(d, degree + 1):
                         counts[i] += counts[i - d]
-            self._count_cache[key] = counts
+            self._count_cache[degree] = counts
         return counts[degree]
 
     def check_budget(self, degrees, budget: int):

@@ -144,13 +144,12 @@ def primitive_basis(g: int, k: int):
         prod = omega_pow * Element(gs, {m: Fraction(1)})
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
     mat = ela.RationalMatrix.from_columns(columns, len(dst))
-    mat.ncols = len(src)
     vecs = ela.kernel_basis(mat)
     expected = comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
     if len(vecs) != expected:
         raise ValidationFailure(
             f"primitive part ({g},{k}) has dimension {len(vecs)} != {expected}")
-    return [Element(gs, {src[i]: v for i, v in enumerate(vec) if v})
+    return [Element(gs, {src[i]: v for i, v in vec.items()})
             for vec in vecs]
 
 

@@ -45,10 +45,12 @@ DEFAULT_BUDGET = 500_000
 
 
 def configured_budget() -> int:
+    raw = os.environ.get("SPHOMOTOPY_BUDGET", str(DEFAULT_BUDGET))
     try:
-        return int(os.environ.get("SPHOMOTOPY_BUDGET", DEFAULT_BUDGET))
+        return int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise ValueError(
+            f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
 
 
 class TargetAlgebra:
@@ -85,14 +87,14 @@ class TargetAlgebra:
     def multiply(self, x: Element, y: Element) -> Element:
         return self.ring.multiply(x, y)
 
-    def coords_block(self, x: Element, n: int, w) -> list:
-        """Dense coordinates over the weight-w block of the degree-n basis."""
+    def coords_block(self, x: Element, n: int, w) -> dict:
+        """Sparse coordinates over the weight-w block of the degree-n basis."""
         block = self.basis_by_weight(n).get(w, [])
         index = {m: i for i, m in enumerate(block)}
-        out = [Fraction(0)] * len(block)
+        out = {}
         for m, c in x.terms.items():
             try:
-                out[index[m]] += c
+                out[index[m]] = c
             except KeyError:
                 raise InternalInconsistency(
                     f"target element leaves the ({n}, {w}) block") from None
@@ -256,7 +258,6 @@ class MinimalModel:
             a_dim = len(a_next.get(w, []))
             complements[w] = ela.cokernel_complement_indices(cols, a_dim)
             mat = ela.RationalMatrix.from_columns(cols, a_dim)
-            mat.ncols = blk.dim
             kernel = ela.kernel_basis(mat)
             # injectivity on the next stage's H^{n+1}: rank ρ* = dim H - #N
             # (the complement and the kernel come from two eliminations),
@@ -267,7 +268,7 @@ class MinimalModel:
                     f"image and kernel ranks disagree on H^{n + 1} at weight {w}")
             if kernel:
                 rows = blk.coordinates + [
-                    {blk.positions[j]: c for j, c in enumerate(kv) if c}
+                    {blk.positions[j]: c for j, c in kv.items()}
                     for kv in kernel]
                 width = len(blk.coboundaries) + blk.dim
                 if ela.rank(ela.RationalMatrix.from_rows(rows, width)) != len(rows):
@@ -275,9 +276,8 @@ class MinimalModel:
                         f"induced map not injective on H^{n + 1} at weight {w}")
             for kv in kernel:
                 d_img = gs.zero()
-                for j, c in enumerate(kv):
-                    if c:
-                        d_img = d_img + blk.representatives[j].scale(c)
+                for j, c in kv.items():
+                    d_img = d_img + blk.representatives[j].scale(c)
                 n_plan.append((w, d_img))
 
         # register after all cohomology in the old algebra is computed

@@ -5,13 +5,20 @@ import sys
 
 import pytest
 
+import sphomotopy
+from sphomotopy import cli, sullivan
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# the child interpreter imports the package this process imported
+SRC_DIR = os.path.dirname(os.path.dirname(sphomotopy.__file__))
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sphomotopy", *args],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -156,6 +163,30 @@ def test_verify_higher_genus_rejects_low_genus(genus):
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
     assert "PASS" not in res.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "invariant-model", "--genus", "0"),
+    ("--suite", "invariant-model", "--max-degree", "0"),
+    ("--suite", "leading", "--max-degree", "0"),
+    ("--suite", "degree-bound", "--max-degree", "0"),
+    ("--suite", "higher-genus", "--max-degree", "0"),
+], ids=["invariant-genus-0", "invariant-degree-0", "leading-degree-0",
+        "degree-bound-degree-0", "higher-genus-degree-0"])
+def test_verify_explicit_zero_is_not_replaced_by_default(argv):
+    res = run_cli("verify", *argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "PASS" not in res.stdout
+
+
+def test_non_integer_budget_variable_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("SPHOMOTOPY_BUDGET", "abc")
+    with pytest.raises(ValueError, match="SPHOMOTOPY_BUDGET"):
+        sullivan.configured_budget()
+    assert cli.main(["betti", "--genus", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_golden_model_dump():

@@ -160,14 +160,15 @@ def test_coboundary_coordinates_read_off_free_columns():
             blk = dga.cohomology(n, w)
             src, _, up = dga.d_matrix(n, w)
             z_vecs = ela.kernel_basis(up)
-            free = [max(i for i, v in enumerate(z) if v) for z in z_vecs]
+            free = [max(i for i, v in z.items() if v) for z in z_vecs]
+            assert all(z[f] == 1 for f, z in zip(free, z_vecs))
             index = {m: i for i, m in enumerate(src)}
             for b, coords in zip(blk.coboundaries, blk.coordinates):
                 vec = [0] * len(src)
                 for m, c in b.terms.items():
                     vec[index[m]] = c
                 assert coords == {k: vec[f] for k, f in enumerate(free) if vec[f]}
-                recon = [sum(vec[f] * z[i] for f, z in zip(free, z_vecs))
+                recon = [sum(vec[f] * z.get(i, 0) for f, z in zip(free, z_vecs))
                          for i in range(len(src))]
                 assert recon == vec
                 checked += 1

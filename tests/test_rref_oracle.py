@@ -1,4 +1,4 @@
-"""The exact RREF against an independent implementation, sympy's."""
+"""The exact RREF and kernel against an independent implementation, sympy's."""
 
 from fractions import Fraction
 
@@ -25,13 +25,35 @@ def rational_matrices(draw):
             for _ in range(nrows)]
 
 
-@hypothesis.settings(max_examples=300, derandomize=True, database=None,
-                     deadline=None)
+def _matrix(dense):
+    return ela.RationalMatrix.from_rows(
+        [dict(enumerate(row)) for row in dense], len(dense[0]))
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+SETTINGS = hypothesis.settings(max_examples=300, derandomize=True,
+                               database=None, deadline=None)
+
+
+@SETTINGS
 @hypothesis.given(rational_matrices())
 def test_rref_matches_sympy(dense):
-    got, pivots = ela.rref(ela.RationalMatrix.from_rows(dense))
+    got, pivots = ela.rref(_matrix(dense))
     want, want_pivots = sympy.Matrix(dense).rref()
     assert pivots == list(want_pivots)
     assert got.to_dense() == [
-        [Fraction(int(x.p), int(x.q)) for x in want.row(i)]
+        [_fraction(x) for x in want.row(i)]
         for i in range(len(want_pivots))]
+
+
+@SETTINGS
+@hypothesis.given(rational_matrices())
+def test_kernel_matches_sympy(dense):
+    # sympy's nullspace vector for a free column is 1 there and -rref at
+    # the pivots: the canonical basis, in the same order
+    want = [{i: _fraction(x) for i, x in enumerate(v) if x}
+            for v in sympy.Matrix(dense).nullspace()]
+    assert ela.kernel_basis(_matrix(dense)) == want
