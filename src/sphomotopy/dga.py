@@ -4,9 +4,11 @@ Two flavours share the class:
 
 * free DGAs — differential given on generators, extended by the graded
   Leibniz rule; used for the degreewise models under construction;
-* quotient targets — a free algebra modulo a homogeneous relation
+* quotient rings — a free algebra modulo a homogeneous relation
   subspace, with zero differential; used for the cohomology rings the
-  models map onto.
+  models map into. The ring is the model's target as it stands: it
+  carries its per-weight bases, reduction, products and the coordinates
+  of an element in one (degree, weight) block.
 
 A quotient is represented per degree by a canonical monomial transversal:
 the non-pivot monomials after row-reducing the span of the relations in
@@ -60,6 +62,7 @@ class DGA:
         self._dmat_cache: dict = {}
         self._quot_cache: dict = {}
         self._quot_index: dict = {}
+        self._weight_cache: dict = {}
         if differential:
             for name, img in differential.items():
                 self._set_d(gs[name].index, img, check)
@@ -107,6 +110,9 @@ class DGA:
                       check: bool = True):
         """Append a generator with its differential (model growth path)."""
         g = self.gs.add(name, degree, weight)
+        # d: n -> n+1 changes only where basis n or n+1 gains monomials
+        for key in [k for k in self._dmat_cache if k[0] >= degree - 1]:
+            del self._dmat_cache[key]
         img = d_image if d_image is not None else self.gs.zero()
         self._set_d(g.index, img, check)
         if check and not self.apply_d(img).is_zero():
@@ -168,18 +174,41 @@ class DGA:
     def is_quotient(self) -> bool:
         return self.relations is not None
 
-    def basis(self, n: int, weight=None) -> list[Monomial]:
+    def basis_by_weight(self, n: int) -> dict:
+        """{weight: monomials} of the degree-n basis, weights unsorted."""
         if not self.is_quotient():
-            return self.gs.basis(n, weight)
-        monos, transversal, _, _ = self._quotient_data(n)
-        out = [monos[i] for i in transversal]
-        if weight is not None:
-            w = tuple(weight)
-            out = [m for m in out if self.gs.weight(m) == w]
-        return out
+            return self.gs.basis_by_weight(n)
+        cached = self._weight_cache.get(n)
+        if cached is None:
+            monos, transversal, _, _ = self._quotient_data(n)
+            cached = {}
+            for i in transversal:
+                cached.setdefault(self.gs.weight(monos[i]), []).append(monos[i])
+            self._weight_cache[n] = cached
+        return cached
+
+    def basis(self, n: int, weight=None) -> list[Monomial]:
+        by_w = self.basis_by_weight(n)
+        if weight is None:
+            # the transversal order: monomials are sorted by weight first
+            return [m for w in sorted(by_w) for m in by_w[w]]
+        return list(by_w.get(tuple(weight), ()))
 
     def dim(self, n: int) -> int:
-        return len(self.basis(n))
+        return sum(map(len, self.basis_by_weight(n).values()))
+
+    def coords_block(self, x: Element, n: int, w) -> dict:
+        """Sparse coordinates over the weight-w block of the degree-n basis."""
+        block = self.basis_by_weight(n).get(w, [])
+        index = {m: i for i, m in enumerate(block)}
+        out = {}
+        for m, c in x.terms.items():
+            try:
+                out[index[m]] = c
+            except KeyError:
+                raise InternalInconsistency(
+                    f"target element leaves the ({n}, {w}) block") from None
+        return out
 
     def _quotient_data(self, n: int):
         """(monomials, transversal indices, pivot->row, rref rows) at degree n.
@@ -262,7 +291,7 @@ class DGA:
 
     def d_matrix(self, n: int, weight=None):
         """(source basis, target basis, matrix of d: n -> n+1) in the block."""
-        key = (n, tuple(weight) if weight is not None else None, len(self.gs))
+        key = (n, tuple(weight) if weight is not None else None)
         cached = self._dmat_cache.get(key)
         if cached is not None:
             return cached
@@ -297,12 +326,6 @@ class DGA:
         blockwise, weight-pure.
         """
         w = tuple(weight) if weight is not None else None
-        if self.is_quotient():
-            # zero differential: H^n = A^n on the nose
-            monos = self.basis(n, w)
-            elems = [Element(self.gs, {m: Fraction(1)}) for m in monos]
-            return CohomologyBlock(n, w, monos, [], elems, [],
-                                   list(range(len(monos))))
         src, _, up = self.d_matrix(n, w)
         z_vecs = ela.kernel_basis(up)
         b_rows = []

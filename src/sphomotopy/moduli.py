@@ -187,20 +187,7 @@ def _transplant(x: Element, gs: GeneratorSet) -> Element:
     return Element(gs, dict(x.terms))
 
 
-@dataclass
-class ModuliRing:
-    """The full cohomology ring at genus g, as a zero-differential target."""
-
-    g: int
-    dga: DGA
-    betti: list
-
-    @property
-    def top_degree(self) -> int:
-        return 6 * self.g - 6
-
-
-def build_cohomology_algebra(g: int) -> ModuliRing:
+def build_cohomology_algebra(g: int) -> DGA:
     """Quotient of the free algebra by the ideal on E, degrees 0..6g-6.
 
     Validates the expected top class, Poincaré duality and the degree-2/3
@@ -222,7 +209,7 @@ def build_cohomology_algebra(g: int) -> ModuliRing:
     for n in range(top + 1):
         if betti[n] != betti[top - n]:
             raise ValidationFailure(f"Poincaré duality fails at degree {n}")
-    return ModuliRing(g, ring, betti)
+    return ring
 
 
 # -- invariant subring ---------------------------------------------------------
@@ -287,9 +274,10 @@ def betti_decomposition(g: int):
 def betti_numbers(g: int):
     """Betti numbers computed two independent ways and cross-checked."""
     ring = build_cohomology_algebra(g)
+    betti = [ring.dim(n) for n in range(6 * g - 5)]
     formula = betti_decomposition(g)
-    if ring.betti != formula:
+    if betti != formula:
         raise ValidationFailure(
-            f"Betti cross-check failed: quotient {ring.betti} vs "
+            f"Betti cross-check failed: quotient {betti} vs "
             f"decomposition {formula}")
-    return list(ring.betti)
+    return betti

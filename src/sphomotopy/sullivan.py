@@ -1,5 +1,10 @@
 """Degreewise minimal model construction for zero-differential targets.
 
+The target is a quotient ring (``DGA`` with relations), used as it
+stands: the model reads the ring's per-weight bases and block
+coordinates and reduces and multiplies in it directly. The ring must be
+1-connected: A^0 is the ground field and A^1 = 0.
+
 Stage n adjoins two kinds of generators to the free model built so far:
 
 * C-part: a canonical complement of the image of the induced map on
@@ -53,54 +58,6 @@ def configured_budget() -> int:
             f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
 
 
-class TargetAlgebra:
-    """A finite-dimensional zero-differential algebra with weight-tagged
-    canonical bases, wrapping a quotient (or free) DGA."""
-
-    def __init__(self, ring: DGA, description: str = ""):
-        if any(not img.is_zero() for img in ring.d_of.values()):
-            raise ValidationFailure("target must carry the zero differential")
-        self.ring = ring
-        self.gs = ring.gs
-        self.description = description
-        self._weight_cache: dict = {}
-        if ring.dim(0) != 1 or ring.basis(0) != [ONE]:
-            raise TargetNotOneConnected("degree-0 part is not the ground field")
-        if ring.dim(1) != 0:
-            raise TargetNotOneConnected("degree-1 part is nonzero")
-
-    def basis_by_weight(self, n: int) -> dict:
-        cached = self._weight_cache.get(n)
-        if cached is None:
-            cached = {}
-            for m in self.ring.basis(n):
-                cached.setdefault(self.gs.weight(m), []).append(m)
-            self._weight_cache[n] = cached
-        return cached
-
-    def unit(self) -> Element:
-        return self.gs.unit()
-
-    def reduce(self, x: Element) -> Element:
-        return self.ring.reduce(x)
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        return self.ring.multiply(x, y)
-
-    def coords_block(self, x: Element, n: int, w) -> dict:
-        """Sparse coordinates over the weight-w block of the degree-n basis."""
-        block = self.basis_by_weight(n).get(w, [])
-        index = {m: i for i, m in enumerate(block)}
-        out = {}
-        for m, c in x.terms.items():
-            try:
-                out[index[m]] = c
-            except KeyError:
-                raise InternalInconsistency(
-                    f"target element leaves the ({n}, {w}) block") from None
-        return out
-
-
 @dataclass
 class StageGenerator:
     name: str
@@ -131,7 +88,13 @@ class MinimalModelStage:
 
 
 class MinimalModel:
-    def __init__(self, target: TargetAlgebra, budget: int | None = None):
+    def __init__(self, target: DGA, budget: int | None = None):
+        if not target.is_quotient():
+            raise ValidationFailure("the target must be a quotient ring")
+        if target.basis(0) != [ONE]:
+            raise TargetNotOneConnected("degree-0 part is not the ground field")
+        if target.dim(1) != 0:
+            raise TargetNotOneConnected("degree-1 part is nonzero")
         self.target = target
         self.budget = budget if budget is not None else configured_budget()
         self.dga = DGA(GeneratorSet(target.gs.weight_len), {})
@@ -150,7 +113,7 @@ class MinimalModel:
         """Image of a model monomial in the target (product of generator
         images, reduced)."""
         if m == ONE:
-            return self.target.unit()
+            return self.target.gs.unit()
         if m.odd & self._rho_zero_odd:
             return self.target.gs.zero()
         for o, _ in m.even:
@@ -183,11 +146,6 @@ class MinimalModel:
 
     def _check_budget(self, n: int):
         self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
-
-    def _prune_caches(self):
-        count = len(self.dga.gs)
-        self.dga._dmat_cache = {
-            k: v for k, v in self.dga._dmat_cache.items() if k[2] == count}
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
                   rho_image, require_minimal=True):
@@ -222,7 +180,6 @@ class MinimalModel:
         if not self.stages and n != 2:
             raise ValueError("first stage is degree 2")
         self._check_budget(n)
-        self._prune_caches()
         gs = self.dga.gs
         A = self.target
         stage_gens: list[StageGenerator] = []
@@ -362,7 +319,7 @@ class MinimalModel:
                     for g in s.generators
                 ],
             })
-        out = {"target": self.target.description, "stages": stages}
+        out = {"stages": stages}
         if genus is not None:
             out["genus"] = genus
         return out
@@ -384,7 +341,7 @@ class QuasiIsoReport:
         return f"<QuasiIsoReport through {len(self.entries) - 2}: {status}>"
 
 
-def build(target: TargetAlgebra, max_degree: int,
+def build(target: DGA, max_degree: int,
           budget: int | None = None) -> MinimalModel:
     """Run the construction from degree 2 through ``max_degree``."""
     if max_degree < 2:
@@ -398,14 +355,12 @@ def build(target: TargetAlgebra, max_degree: int,
 # -- named targets -------------------------------------------------------------
 
 
-def moduli_target(g: int) -> TargetAlgebra:
-    ring = moduli.build_cohomology_algebra(g)
-    return TargetAlgebra(ring.dga, description=f"moduli space cohomology, genus {g}")
+def moduli_target(g: int) -> DGA:
+    return moduli.build_cohomology_algebra(g)
 
 
-def invariant_target(g: int, check_up_to: int | None = None) -> TargetAlgebra:
-    ring = moduli.invariant_ring(g, check_up_to=check_up_to)
-    return TargetAlgebra(ring, description=f"invariant subring, genus {g}")
+def invariant_target(g: int, check_up_to: int | None = None) -> DGA:
+    return moduli.invariant_ring(g, check_up_to=check_up_to)
 
 
 def invariant_model(g: int, max_degree: int,

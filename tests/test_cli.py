@@ -180,6 +180,57 @@ def test_verify_explicit_zero_is_not_replaced_by_default(argv):
     assert "PASS" not in res.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("--suite", "low-degrees", "--genus", "5", "--max-degree", "3"),
+    ("--suite", "low-degrees", "--genus", "3"),
+    ("--suite", "leading", "--genus", "7", "--max-degree", "8"),
+    ("--suite", "degree-bound", "--genus", "9"),
+    ("--suite", "degree-bound", "--genus", "0"),
+], ids=["low-degrees-genus-5", "low-degrees-genus-3", "leading-genus-7",
+        "degree-bound-genus-9", "degree-bound-genus-0"])
+def test_verify_genus2_suites_reject_other_genus(argv):
+    res = run_cli("verify", *argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "genus 2 only" in res.stderr
+    assert "PASS" not in res.stdout
+
+
+@pytest.mark.parametrize("argv, degrees", [
+    (("--max-degree", "3"), [2, 3]),
+    (("--max-degree", "5", "--genus", "2"), [2, 3, 4, 5]),
+    (("--max-degree", "9"), [2, 3, 4, 5, 6, 7]),
+], ids=["max-3", "max-5-genus-2", "max-9-capped"])
+def test_verify_low_degrees_honours_max_degree(argv, degrees):
+    res = run_cli("verify", "--suite", "low-degrees", *argv, "--format", "json")
+    assert res.returncode == 0, res.stdout + res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["ok"] is True
+    assert [c["name"] for c in payload["checks"]] == \
+        [f"stage {n} decomposition" for n in degrees]
+
+
+def test_verify_low_degrees_explicit_zero_rejected():
+    res = run_cli("verify", "--suite", "low-degrees", "--max-degree", "0")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "PASS" not in res.stdout
+
+
+def test_betti_mismatch_is_one_error_line(monkeypatch, capsys):
+    """A disagreement between the two Betti paths, which only a bug can
+    cause, ends in one ``error:`` line and exit 1."""
+    from sphomotopy import moduli
+
+    monkeypatch.setattr(moduli, "betti_decomposition",
+                        lambda g: [1, 0, 1, 4, 1, 0, 2])
+    assert cli.main(["betti", "--genus", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: Betti cross-check failed")
+    assert out.err.count("\n") == 1
+
+
 def test_non_integer_budget_variable_rejected(monkeypatch, capsys):
     monkeypatch.setenv("SPHOMOTOPY_BUDGET", "abc")
     with pytest.raises(ValueError, match="SPHOMOTOPY_BUDGET"):

@@ -90,9 +90,57 @@ def test_sphere_cohomology(sphere_model):
 
 
 def test_quotient_target_cohomology_is_ring():
-    ring = moduli.build_cohomology_algebra(2).dga
+    ring = moduli.build_cohomology_algebra(2)
     for n in range(8):
         assert ring.cohomology(n).dim == ring.dim(n)
+
+
+def _rings():
+    yield from (moduli.build_cohomology_algebra(g) for g in (2, 3))
+    yield from (moduli.invariant_ring(g) for g in (2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("ring", _rings(),
+                         ids=["full-2", "full-3", "inv-2", "inv-3", "inv-4", "inv-5"])
+def test_quotient_basis_by_weight_splits_transversal(ring):
+    """The per-weight blocks, in sorted weight order, are the transversal of
+    ``_quotient_data``; each block is the weight filter of the basis."""
+    gs = ring.gs
+    top = 6 * gs.weight_len - 3
+    for n in range(top + 1):
+        monos, transversal, _, _ = ring._quotient_data(n)
+        by_w = ring.basis_by_weight(n)
+        basis = [m for w in sorted(by_w) for m in by_w[w]]
+        assert basis == [monos[i] for i in transversal] == ring.basis(n), n
+        assert ring.dim(n) == len(basis)
+        for w, block in by_w.items():
+            assert block == [m for m in basis if gs.weight(m) == w], (n, w)
+            assert ring.basis(n, w) == block
+
+
+def test_coords_block_rejects_foreign_terms():
+    gs = GeneratorSet(0)
+    gs.add("h", 2)
+    h = gs.gen("h")
+    ring = DGA(gs, {}, relations=[h * h * h])
+    assert ring.coords_block(h * h, 4, ()) == {0: 1}
+    with pytest.raises(InternalInconsistency, match="leaves the"):
+        ring.coords_block(h, 4, ())
+
+
+def test_d_matrix_cache_dropped_where_bases_grow():
+    gs = GeneratorSet(0)
+    gs.add("x", 2)
+    d = DGA(gs, {})
+    for n in range(6):
+        d.d_matrix(n)
+    x = gs.gen("x")
+    d.add_generator("y", 3, None, x * x)
+    assert sorted(k[0] for k in d._dmat_cache) == [0, 1]
+    # the rebuilt block sees the new generator: d(y) = x²
+    src, dst, mat = d.d_matrix(3)
+    assert src == gs.basis(3) and dst == gs.basis(4)
+    assert mat.rows == [{0: 1}]
 
 
 def test_weight_blocks_sum_to_total():

@@ -14,7 +14,7 @@ def sphere_target():
     gs = GeneratorSet(0)
     gs.add("h", 2)
     h = gs.gen("h")
-    return sullivan.TargetAlgebra(DGA(gs, {}, relations=[h * h]), "sphere")
+    return DGA(gs, {}, relations=[h * h])
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +38,10 @@ def test_sphere_two_stage_model():
 def test_not_one_connected_rejected():
     gs = GeneratorSet(0)
     gs.add("t", 1)
-    with pytest.raises(TargetNotOneConnected):
-        sullivan.TargetAlgebra(DGA(gs, {}))
+    gs.add("x", 2)
+    x = gs.gen("x")
+    with pytest.raises(TargetNotOneConnected, match="degree-1"):
+        sullivan.MinimalModel(DGA(gs, {}, relations=[x * x]))
 
 
 def test_nonzero_differential_target_rejected():
@@ -48,7 +50,19 @@ def test_nonzero_differential_target_rejected():
     gs.add("y", 3)
     x = gs.gen("x")
     with pytest.raises(ValidationFailure):
-        sullivan.TargetAlgebra(DGA(gs, {"y": x * x}))
+        sullivan.MinimalModel(DGA(gs, {"y": x * x}))
+    # a quotient ring with a differential cannot be built at all
+    with pytest.raises(ValidationFailure, match="zero differential"):
+        DGA(gs, {"y": x * x}, relations=[x * x * x])
+
+
+def test_free_target_rejected():
+    """A 1-connected free algebra with zero differential is not a quotient
+    ring, so it is no target."""
+    gs = GeneratorSet(0)
+    gs.add("x", 2)
+    with pytest.raises(ValidationFailure, match="quotient ring"):
+        sullivan.MinimalModel(DGA(gs, {}))
 
 
 def test_g2_stage_dimensions(g2_model):
