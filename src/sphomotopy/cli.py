@@ -23,12 +23,16 @@ from . import moduli, sp_characters, sullivan, tables
 from .errors import SphomotopyError
 
 
+def _budget(args) -> int:
+    return sullivan.configured_budget() if args.budget is None else args.budget
+
+
 def cmd_betti(args) -> int:
     if args.genus < 2:
         raise SystemExit("betti: the full ring needs --genus >= 2")
     # the ring is built through degree 6g-3; refuse before forming products
-    budget = sullivan.configured_budget() if args.budget is None else args.budget
-    moduli.full_generators(args.genus).check_budget(range(6 * args.genus - 2), budget)
+    moduli.full_generators(args.genus).check_budget(range(6 * args.genus - 2),
+                                                    _budget(args))
     # raises on a mismatch between the two paths
     betti = moduli.betti_numbers(args.genus)
     if args.format == "json":
@@ -52,6 +56,8 @@ def cmd_relations(args) -> int:
         "q": [q.q1.render(), q.q2.render(), q.q3.render()],
     }
     if g >= 2:
+        # the primitive parts enumerate through degree 3(2g+1)
+        moduli.full_generators(g).check_budget(range(6 * g + 4), _budget(args))
         payload["E"] = [e.render() for e in moduli.relation_subspace_E(g)]
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False))

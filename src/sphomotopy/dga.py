@@ -10,6 +10,15 @@ Two flavours share the class:
   carries its per-weight bases, reduction, products and the coordinates
   of an element in one (degree, weight) block.
 
+A free DGA keeps each generator's differential as an integer image
+``(den, {monomial: int})`` and assembles d(m) from it with the Leibniz
+rule on the last factor, in integers, once per monomial. The blocks of d
+go to the elimination as integer rows, cleared one row (target monomial)
+at a time: RREF and the canonical kernel vectors do not change under row
+scaling, although they do under column scaling. ``Element``s are built
+only at the API edge (``d_monomial``, ``apply_d``, cohomology
+representatives on request).
+
 A quotient is represented per degree by a canonical monomial transversal:
 the non-pivot monomials after row-reducing the span of the relations in
 that degree. Every relation has one degree and one weight, so that span
@@ -22,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import exact_linalg as ela
 from .errors import InternalInconsistency, ValidationFailure
-from .free_gca import Element, GeneratorSet, Monomial
+from .free_gca import ONE, Element, GeneratorSet, Monomial
 
 
 @dataclass
@@ -34,22 +44,42 @@ class CohomologyBlock:
     """Coboundaries and canonical cohomology representatives in one
     (degree, weight) block.
 
-    ``coordinates`` gives each coboundary in the canonical basis of the
-    cocycles, and ``positions`` says which cocycle basis vector each
+    ``coboundary_vectors`` and ``representative_vectors`` are sparse
+    ``{position: Fraction}`` vectors over ``monomials``; ``coboundaries``
+    and ``representatives`` are the same as ``Element``s, built on first
+    use. ``coordinates`` gives each coboundary in the canonical basis of
+    the cocycles, and ``positions`` says which cocycle basis vector each
     representative is.
     """
 
     degree: int
     weight: tuple | None
     monomials: list
-    coboundaries: list
-    representatives: list
+    coboundary_vectors: list
+    representative_vectors: list
     coordinates: list
     positions: list
+    gs: GeneratorSet
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.representative_vectors)
+
+    def _elements(self, vecs):
+        src = self.monomials
+        return [Element(self.gs, {src[i]: v for i, v in vec.items()})
+                for vec in vecs]
+
+    @cached_property
+    def coboundaries(self) -> list:
+        return self._elements(self.coboundary_vectors)
+
+    @cached_property
+    def representatives(self) -> list:
+        return self._elements(self.representative_vectors)
+
+
+_NO_D = (1, {})  # the integer differential of a cocycle; never mutated
 
 
 class DGA:
@@ -58,7 +88,9 @@ class DGA:
         self.gs = gs
         self.d_of: dict[int, Element] = {}
         self.relations = list(relations) if relations else None
-        self._dmono_cache: dict = {}
+        # generator index, resp. monomial -> d as (den, {monomial: int})
+        self._d_gen: dict[int, tuple] = {}
+        self._d_cache: dict = {ONE: _NO_D}
         self._dmat_cache: dict = {}
         self._quot_cache: dict = {}
         self._quot_index: dict = {}
@@ -67,7 +99,8 @@ class DGA:
             for name, img in differential.items():
                 self._set_d(gs[name].index, img, check)
         for g in gs.gens:
-            self.d_of.setdefault(g.index, gs.zero())
+            if g.index not in self.d_of:
+                self._set_d(g.index, gs.zero(), False)
         if self.relations is not None:
             if any(not x.is_zero() for x in self.d_of.values()):
                 raise ValidationFailure(
@@ -81,9 +114,8 @@ class DGA:
                 if deg is None:
                     continue
                 # integer multiple of r: scaling a row leaves the RREF alone
-                den = lcm(*(c.denominator for c in r.terms.values()))
-                self._int_relations.append(
-                    (deg, wt, [(m, int(c * den)) for m, c in r.terms.items()]))
+                _, terms = ela._cleared(r.terms)
+                self._int_relations.append((deg, wt, list(terms.items())))
         if check:
             bad = self.check_d_squared()
             if bad:
@@ -105,12 +137,18 @@ class DGA:
                 raise ValidationFailure(
                     f"d({g.name}) must preserve the weight {g.weight}")
         self.d_of[index] = img
+        self._d_gen[index] = ela._cleared(img.terms)
 
     def add_generator(self, name, degree, weight, d_image: Element | None,
                       check: bool = True):
-        """Append a generator with its differential (model growth path)."""
+        """Append a generator with its differential (model growth path).
+
+        ``check=False`` skips the homogeneity and d(d(v)) = 0 checks; the
+        model construction makes both for a whole block at once.
+        """
         g = self.gs.add(name, degree, weight)
-        # d: n -> n+1 changes only where basis n or n+1 gains monomials
+        # d: n -> n+1 changes only where basis n or n+1 gains monomials;
+        # the differentials of the monomials already cached stay as they are
         for key in [k for k in self._dmat_cache if k[0] >= degree - 1]:
             del self._dmat_cache[key]
         img = d_image if d_image is not None else self.gs.zero()
@@ -121,37 +159,61 @@ class DGA:
 
     # -- differential -------------------------------------------------------
 
-    def d_monomial(self, m: Monomial) -> Element:
-        cached = self._dmono_cache.get(m)
+    def _d_int(self, m: Monomial):
+        """d(m) as ``(den, {monomial: int})``, cached per monomial.
+
+        Leibniz on the last factor: m = rest·g with g the last odd
+        generator, or the last even one if m has no odd factor, and
+        d(rest·g) = d(rest)·g + (-1)^|rest| rest·d(g).
+        """
+        cached = self._d_cache.get(m)
         if cached is not None:
             return cached
         gs = self.gs
-        out = gs.zero()
-        # even factors: the prefix has even degree, so no sign; the e
-        # occurrences of one generator contribute identical terms
-        for k, (o, e) in enumerate(m.even):
-            dg = self.d_of[gs.even[o].index]
-            if dg.is_zero():
-                continue
-            rest_even = m.even[:k] + (((o, e - 1),) if e > 1 else ()) + m.even[k + 1:]
-            rest = Element(gs, {Monomial(rest_even, m.odd): Fraction(e)})
-            out = out + dg * rest
-        # odd factors: sign is (-1)^(number of odd factors to the left)
-        mask = m.odd
-        passed = 0
-        while mask:
-            low = mask & -mask
-            o = low.bit_length() - 1
-            mask ^= low
-            dg = self.d_of[gs.odd[o].index]
-            if not dg.is_zero():
-                before = Element(gs, {Monomial(m.even, m.odd & (low - 1)): Fraction(1)})
-                after = Element(gs, {Monomial((), mask): Fraction(1)})
-                term = (before * dg) * after
-                out = out + (term if passed % 2 == 0 else -term)
-            passed += 1
-        self._dmono_cache[m] = out
-        return out
+        if m.odd:
+            top = 1 << (m.odd.bit_length() - 1)
+            rest = Monomial(m.even, m.odd ^ top)
+            gen = gs.odd[top.bit_length() - 1]
+            sign_g = -1 if rest.odd.bit_count() & 1 else 1
+        else:
+            o, e = m.even[-1]
+            rest = Monomial(m.even[:-1] + (((o, e - 1),) if e > 1 else ()), 0)
+            gen = gs.even[o]
+            sign_g = 1
+        den_r, t_r = self._d_int(rest)
+        den_g, t_g = self._d_gen[gen.index]
+        if not t_r and not t_g:
+            self._d_cache[m] = _NO_D
+            return _NO_D
+        den = lcm(den_r, den_g)
+        mul = gs.mul_monomials
+        out = {}
+        if t_r:
+            # t ↦ t·g is injective where it does not vanish
+            gm = gs.monomial_of(gen)
+            s = den // den_r
+            for t, c in t_r.items():
+                sign, mm = mul(t, gm)
+                if sign:
+                    out[mm] = sign * s * c
+        if t_g:
+            s = sign_g * (den // den_g)
+            for t, c in t_g.items():
+                sign, mm = mul(rest, t)
+                if sign:
+                    v = out.get(mm, 0) + sign * s * c
+                    if v:
+                        out[mm] = v
+                    else:
+                        del out[mm]
+        res = (den, out) if out else _NO_D
+        self._d_cache[m] = res
+        return res
+
+    def d_monomial(self, m: Monomial) -> Element:
+        """d(m) as an ``Element``: an uncached view of the integer form."""
+        den, terms = self._d_int(m)
+        return Element(self.gs, {mm: Fraction(c, den) for mm, c in terms.items()})
 
     def apply_d(self, x: Element) -> Element:
         out = self.gs.zero()
@@ -290,29 +352,76 @@ class DGA:
     # -- cohomology -----------------------------------------------------------
 
     def d_matrix(self, n: int, weight=None):
-        """(source basis, target basis, matrix of d: n -> n+1) in the block."""
+        """(source basis, target basis, matrix of d: n -> n+1) in the block.
+
+        Entries are exact: ``int`` where the source monomial's differential
+        is integral, ``Fraction`` elsewhere.
+        """
         key = (n, tuple(weight) if weight is not None else None)
         cached = self._dmat_cache.get(key)
         if cached is not None:
-            return cached
+            return cached[:3]
         src = self.basis(n, weight)
         dst = self.basis(n + 1, weight)
         index = {m: i for i, m in enumerate(dst)}
-        columns = []
-        for m in src:
-            dx = self.d_monomial(m)
-            col = {}
-            for mm, c in dx.terms.items():
+        rows = [{} for _ in dst]
+        fractional = set()
+        d_int = self._d_int
+        try:
+            for j, m in enumerate(src):
+                den, terms = d_int(m)
+                if den == 1:
+                    for mm, c in terms.items():
+                        rows[index[mm]][j] = c
+                else:
+                    for mm, c in terms.items():
+                        i = index[mm]
+                        rows[i][j] = Fraction(c, den)
+                        fractional.add(i)
+        except KeyError:
+            raise InternalInconsistency(
+                "differential left the (degree, weight) block") from None
+        mat = ela.RationalMatrix(len(dst), len(src), rows)
+        self._dmat_cache[key] = (src, dst, mat, fractional)
+        return src, dst, mat
+
+    def _d_rows(self, n: int, w):
+        """The source basis of ``d_matrix(n, w)`` and the matrix's rows as
+        integer ``(cols, nums)`` pairs, each cleared of its own
+        denominators: RREF and the kernel do not change under row scaling."""
+        src, _, mat = self.d_matrix(n, w)
+        fractional = self._dmat_cache[(n, w)][3]
+        out = []
+        # the columns went in in order, so every row's keys are sorted
+        for i, row in enumerate(mat.rows):
+            if not row:
+                continue
+            if i in fractional:
+                row = ela._cleared(row)[1]
+            out.append((list(row), list(row.values())))
+        return src, out
+
+    def kills(self, n: int, w, vectors) -> bool:
+        """Whether d: n -> n+1 maps each of ``vectors`` to zero; they are
+        integer ``(cols, nums)`` pairs over the positions of ``basis(n, w)``."""
+        return ela._kills(self._d_rows(n, w)[1], vectors)
+
+    def _coboundary_rows(self, n: int, w, src) -> list:
+        """The columns of d: n-1 -> n in the block, as integer rows over
+        the positions of ``src``, the block's degree-n basis."""
+        index = {m: i for i, m in enumerate(src)}
+        d_int = self._d_int
+        out = []
+        for m in self.basis(n - 1, w):
+            terms = d_int(m)[1]
+            if terms:
                 try:
-                    col[index[mm]] = c
+                    row = sorted((index[mm], c) for mm, c in terms.items())
                 except KeyError:
                     raise InternalInconsistency(
                         "differential left the (degree, weight) block") from None
-            columns.append(col)
-        mat = ela.RationalMatrix.from_columns(columns, len(dst))
-        cached = (src, dst, mat)
-        self._dmat_cache[key] = cached
-        return cached
+                out.append(tuple(zip(*row)))
+        return out
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
         """Exact coboundaries and a canonical basis of cohomology.
@@ -326,24 +435,13 @@ class DGA:
         blockwise, weight-pure.
         """
         w = tuple(weight) if weight is not None else None
-        src, _, up = self.d_matrix(n, w)
-        z_vecs = ela.kernel_basis(up)
-        b_rows = []
-        if n > 0:
-            # the columns of d: n-1 -> n span B^n
-            _, _, down = self.d_matrix(n - 1, w)
-            _, b_rows = ela._echelon_rows(ela._int_rows(down.columns()))
-        if b_rows:
-            # B ⊆ Z: d(n) kills every coboundary
-            up_cols = up.columns()
-            for b in b_rows:
-                image: dict = {}
-                for j, c in b.items():
-                    for i, v in up_cols[j].items():
-                        image[i] = image.get(i, 0) + c * v
-                if any(image.values()):
-                    raise InternalInconsistency(
-                        "coboundaries do not lie in cocycles")
+        src, up_rows = self._d_rows(n, w)
+        z_vecs = ela._kernel_vectors(*ela._echelon_rows(up_rows), len(src))
+        b_in = self._coboundary_rows(n, w, src) if n > 0 else []
+        # B ⊆ Z: d(n) kills every column of d(n-1)
+        if b_in and not ela._kills(up_rows, b_in):
+            raise InternalInconsistency("coboundaries do not lie in cocycles")
+        _, b_rows = ela._echelon_rows(b_in)
         free = [max(z) for z in z_vecs]
         coords = [{k: b[f] for k, f in enumerate(free) if f in b}
                   for b in b_rows]
@@ -355,11 +453,9 @@ class DGA:
             degree=n,
             weight=w,
             monomials=src,
-            coboundaries=[Element(self.gs, {src[i]: v for i, v in b.items()})
-                          for b in b_rows],
-            representatives=[
-                Element(self.gs, {src[i]: v for i, v in z_vecs[k].items()})
-                for k in reps_idx],
+            coboundary_vectors=b_rows,
+            representative_vectors=[z_vecs[k] for k in reps_idx],
             coordinates=coords,
             positions=reps_idx,
+            gs=self.gs,
         )

@@ -6,11 +6,13 @@ all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
 Rows, columns and vectors are sparse ``{index: Fraction}`` dicts without
-zero entries, in and out: a matrix is one such dict per row, and kernel
-vectors come back in the same form. The elimination itself runs on
-private integer-cleared ``(cols, nums)`` rows and divides by the pivot
-only when it emits the result. Only the preimage solver, which the
-benchmark tracer still wraps, takes and returns dense vectors.
+zero entries (``int`` values are rationals too), in and out: a matrix is
+one such dict per row, and kernel vectors come back in the same form.
+The elimination itself runs on private integer-cleared ``(cols, nums)``
+rows and divides by the pivot only when it emits the result; ``dga``,
+which assembles its differentials in integers, hands such rows to it
+directly. Only the preimage solver, which the benchmark tracer still
+wraps, takes and returns dense vectors.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ def _int_rows(rows):
         nums = [int(row[c] * den) for c in cols]
         out.append((cols, nums))
     return out
+
+
+def _cleared(vec: dict):
+    """``(den, {key: int})`` with ``vec = ints / den``, den the lcm of the
+    denominators of the rational values of ``vec``."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
 
 
 # -- the elimination kernel ----------------------------------------------------
@@ -228,14 +237,41 @@ def kernel_basis(m: RationalMatrix):
 
     Empty list iff the matrix is injective on columns.
     """
-    pivots, rows = _echelon_rows(_int_rows(m.rows))
+    return _kernel_vectors(*_echelon_rows(_int_rows(m.rows)), m.ncols)
+
+
+def _kernel_vectors(pivots, rows, ncols: int):
+    """``kernel_basis`` from the output of ``_echelon_rows``."""
     pivot_set = set(pivots)
-    basis = {f: {f: _ONE} for f in range(m.ncols) if f not in pivot_set}
+    basis = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, rows):
         for f, v in row.items():
             if f != p:  # an RREF row is zero at the other pivot columns
                 basis[f][p] = -v
     return list(basis.values())
+
+
+def _kills(int_rows, vectors) -> bool:
+    """Whether the matrix with rows ``int_rows`` maps every one of
+    ``vectors`` to zero; both are integer ``(cols, nums)`` pairs.
+
+    One sparse product: each matrix entry meets the vector entries in its
+    column, and nothing else is touched.
+    """
+    by_col: dict = {}
+    for k, (cols, nums) in enumerate(vectors):
+        for j, v in zip(cols, nums):
+            by_col.setdefault(j, []).append((k, v))
+    for cols, nums in int_rows:
+        acc: dict = {}
+        for j, a in zip(cols, nums):
+            hits = by_col.get(j)
+            if hits:
+                for k, v in hits:
+                    acc[k] = acc.get(k, 0) + a * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def cokernel_complement_indices(image_gens, ambient_dim: int):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
@@ -170,42 +171,58 @@ class GeneratorSet:
     def basis_by_weight(self, degree: int) -> dict:
         cached = self._basis_cache.get(degree)
         if cached is None:
-            monos = sorted(self._enumerate(degree))
-            by_w: dict = {}
-            for m in monos:
-                by_w.setdefault(self.weight(m), []).append(m)
-            cached = by_w
+            groups = self._enumerate(degree)
+            for ms in groups.values():
+                ms.sort()
+            # the sorted basis, grouped by weight in order of first appearance
+            cached = dict(sorted(groups.items(), key=lambda kv: kv[1][0]))
             self._basis_cache[degree] = cached
         return cached
 
-    def _enumerate(self, degree: int):
+    def _enumerate(self, degree: int) -> dict:
+        """{weight: monomials} of the exact degree, unordered."""
         # iterative: each state picks the next included generator, so the
-        # stack depth is the word length, not the generator count
+        # stack depth is the word length, not the generator count; the
+        # weight is carried along, one vector addition per state. A state
+        # is pushed only if it is complete or its next generator still fits.
         order = sorted(self.gens, key=lambda g: (g.degree, g.index))
         n = len(order)
-        out = []
-        stack = [(0, degree, ONE)]
+        next_deg = [g.degree for g in order[1:]] + [degree + 1]
+        out: dict = {}
+        stack = [(0, degree, ONE, (0,) * self.weight_len)]
         while stack:
-            i, remaining, mono = stack.pop()
+            i, remaining, mono, w = stack.pop()
             if remaining == 0:
-                out.append(mono)
+                # canonical key: exponent table in generator order, then odd mask
+                out.setdefault(w, []).append(
+                    Monomial(tuple(sorted(mono.even)), mono.odd))
                 continue
             for j in range(i, n):
                 g = order[j]
-                if g.degree > remaining:
+                d = g.degree
+                if d > remaining:
                     break  # ascending degrees: nothing later fits either
+                fits = next_deg[j]
+                gw = g.weight
                 if g.is_odd:
-                    stack.append((j + 1, remaining - g.degree,
-                                  Monomial(mono.even, mono.odd | (1 << g.ordinal))))
+                    rem = remaining - d
+                    if rem == 0 or fits <= rem:
+                        stack.append((j + 1, rem,
+                                      Monomial(mono.even, mono.odd | (1 << g.ordinal)),
+                                      tuple(map(add, w, gw))))
                 else:
                     e = 1
-                    while e * g.degree <= remaining:
-                        stack.append((j + 1, remaining - e * g.degree,
-                                      Monomial(mono.even + ((g.ordinal, e),),
-                                               mono.odd)))
+                    we = w
+                    rem = remaining - d
+                    while rem >= 0:
+                        we = tuple(map(add, we, gw))
+                        if rem == 0 or fits <= rem:
+                            stack.append((j + 1, rem,
+                                          Monomial(mono.even + ((g.ordinal, e),),
+                                                   mono.odd), we))
                         e += 1
-        # canonical key: exponent table in generator order, then odd mask
-        return [Monomial(tuple(sorted(m.even)), m.odd) for m in out]
+                        rem -= d
+        return out
 
     def count_monomials(self, degree: int) -> int:
         """Monomial count by series coefficients; no enumeration."""

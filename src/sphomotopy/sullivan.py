@@ -26,6 +26,11 @@ stage n+1 reads its C part from it. Injectivity on the next stage's
 H^{n+1} is certified in the N pass by a rank: the new differentials are
 independent modulo the coboundaries.
 
+The postconditions on the new generators are checked once per weight
+block, against the inputs rather than the elimination: the assembled
+d(n+1) block times the new differentials is zero (d²=0), and the ρ*
+matrix of the block times each kernel vector is zero (ρ∘d=0).
+
 All splittings are the echelon-canonical complements from
 ``exact_linalg``, computed one torus-weight block at a time. Blockwise
 computation keeps every choice weight-pure, so the generator weights of
@@ -148,19 +153,22 @@ class MinimalModel:
         self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
-                  rho_image, require_minimal=True):
+                  rho_image, require_minimal=True, check=True):
+        """Adjoin one generator. ``check=False`` leaves out the per-generator
+        d(d(v)) = 0 and ρ*(d(v)) = 0 checks, for callers that made them
+        for the whole block (``extend_stage``)."""
         if require_minimal and not d_image.is_zero():
             if d_image != d_image.word_component(2, at_least=True):
                 raise InternalInconsistency(
                     f"d({name}) has a word-length-1 term")
-        g = self.dga.add_generator(name, degree, weight, d_image)
+        g = self.dga.add_generator(name, degree, weight, d_image, check)
         self.rho[g.index] = rho_image
         if rho_image.is_zero():
             if g.is_odd:
                 self._rho_zero_odd |= 1 << g.ordinal
             else:
                 self._rho_zero_even.add(g.ordinal)
-        if not self.rho_star(d_image).is_zero():
+        if check and not self.rho_star(d_image).is_zero():
             raise InternalInconsistency(f"structure map fails to kill d({name})")
         stage_gens.append(StageGenerator(name, degree, tuple(weight), part,
                                          d_image, rho_image))
@@ -227,30 +235,63 @@ class MinimalModel:
                 rows = blk.coordinates + [
                     {blk.positions[j]: c for j, c in kv.items()}
                     for kv in kernel]
-                width = len(blk.coboundaries) + blk.dim
+                width = len(blk.coordinates) + blk.dim
                 if ela.rank(ela.RationalMatrix.from_rows(rows, width)) != len(rows):
                     raise InternalInconsistency(
                         f"induced map not injective on H^{n + 1} at weight {w}")
-            for kv in kernel:
-                d_img = gs.zero()
-                for j, c in kv.items():
-                    d_img = d_img + blk.representatives[j].scale(c)
-                n_plan.append((w, d_img))
+            if kernel:
+                n_plan.extend(self._kernel_part(blk, cols, kernel))
 
         # register after all cohomology in the old algebra is computed
         for w, mono in c_plan:
             rho_img = Element(A.gs, {mono: Fraction(1)})
             self._register(stage_gens, fresh_name(w), n, w, "C",
-                           gs.zero(), rho_img)
+                           gs.zero(), rho_img, check=False)
         for w, d_img in n_plan:
             if d_img.weight() != w:
                 raise InternalInconsistency("differential image off-weight")
             self._register(stage_gens, fresh_name(w), n, w, "N",
-                           d_img, A.gs.zero())
+                           d_img, A.gs.zero(), check=False)
         stage = MinimalModelStage(n, stage_gens)
         self.stages.append(stage)
         self._complements = (n + 1, complements)
         return stage
+
+    def _kernel_part(self, blk, rho_cols, kernel) -> list:
+        """The N generators' differentials for one block of H^{n+1}, as
+        ``(weight, d_image)`` pairs, after both postconditions are checked
+        for the whole block against its inputs:
+
+        * ρ∘d = 0: the ρ* matrix ``rho_cols`` (one target vector per
+          representative) kills every kernel vector;
+        * d²=0: the assembled d(n+1) block kills every d(v), one integer
+          product with the d(v) cleared of their denominators.
+        """
+        for kv in kernel:
+            image: dict = {}
+            for j, c in kv.items():
+                for i, v in rho_cols[j].items():
+                    image[i] = image.get(i, 0) + c * v
+            if any(image.values()):
+                raise InternalInconsistency(
+                    f"structure map fails to kill a differential at weight {blk.weight}")
+        reps = blk.representative_vectors
+        vecs = []
+        for kv in kernel:
+            vec: dict = {}
+            for j, c in kv.items():
+                for i, v in reps[j].items():
+                    vec[i] = vec.get(i, 0) + c * v
+            vecs.append({i: v for i, v in vec.items() if v})
+        ints = [(list(iv), list(iv.values()))
+                for _, iv in map(ela._cleared, vecs)]
+        if not self.dga.kills(blk.degree, blk.weight, ints):
+            raise InternalInconsistency(
+                f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
+        src = blk.monomials
+        gs = self.dga.gs
+        return [(blk.weight, Element(gs, {src[i]: v for i, v in vec.items()}))
+                for vec in vecs]
 
     # -- reports ---------------------------------------------------------------
 

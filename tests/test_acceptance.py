@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 pass. Degree caps are configurable through SPHOMOTOPY_THM63_MAXDEG (the
-genus-2 deep build, default 10).
+genus-2 deep build, default 12).
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from sphomotopy import cli, moduli, sp_characters, sullivan, tables
 from sphomotopy.errors import BudgetExceeded
 
-G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "10"))
+G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "12"))
 
 
 def report(num, desc, ok):

@@ -112,6 +112,15 @@ def test_betti_budget_exceeded_clean_error():
     assert "budget exceeded at degree" in res.stderr
 
 
+def test_relations_budget_exceeded_clean_error():
+    res = run_cli("relations", "--genus", "8", "--budget", "10")
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: monomial budget exceeded")
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("relations", "--genus", "0"),
     ("minimal-model", "--genus", "2", "--max-degree", "1"),

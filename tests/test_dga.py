@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA
 from sphomotopy.errors import InternalInconsistency, ValidationFailure
-from sphomotopy.free_gca import GeneratorSet
+from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 
 
 @pytest.fixture
@@ -38,7 +40,6 @@ def test_invariant_model_differential():
     gs.add("f1", 3)
     gs.add("f2", 5)
     gs.add("f3", 7)
-    from sphomotopy.free_gca import Element
     d = DGA(gs, {"f1": Element(gs, dict(q.q1.terms)),
                  "f2": Element(gs, dict(q.q2.terms)),
                  "f3": Element(gs, dict(q.q3.terms))})
@@ -262,3 +263,51 @@ def test_stage_computes_only_next_degree_cohomology(monkeypatch):
     # the empty model has no degree-3 monomials, so stage 2 computes none
     assert {stage for stage, _ in calls} == set(range(3, 9))
     assert all(n == stage + 1 for stage, n in calls)
+
+
+def _reference_d(dga, m):
+    """d(m) by Element arithmetic: even factors first (no sign), then the
+    odd factors in order, each with the sign of the odd factors before it."""
+    gs = dga.gs
+    out = gs.zero()
+    for k, (o, e) in enumerate(m.even):
+        rest_even = m.even[:k] + (((o, e - 1),) if e > 1 else ()) + m.even[k + 1:]
+        rest = Element(gs, {Monomial(rest_even, m.odd): Fraction(e)})
+        out = out + dga.d_of[gs.even[o].index] * rest
+    passed = 0
+    for o in range(m.odd.bit_length()):
+        low = 1 << o
+        if not m.odd & low:
+            continue
+        before = Element(gs, {Monomial(m.even, m.odd & (low - 1)): Fraction(1)})
+        after = Element(gs, {Monomial((), m.odd & ~(2 * low - 1)): Fraction(1)})
+        term = before * dga.d_of[gs.odd[o].index] * after
+        out = out + (-term if passed % 2 else term)
+        passed += 1
+    return out
+
+
+# genus 2 has N generators with fractional differentials by degree 10;
+# genus 3 has none by degree 8
+@pytest.mark.parametrize("genus, top, fractions", [(2, 10, True), (3, 8, False)])
+def test_integer_d_matrix_matches_element_reference(genus, top, fractions):
+    """Every (degree, weight) block of the integer-assembled differential
+    equals the one built from Element products, entry by entry."""
+    dga = sullivan.build(sullivan.moduli_target(genus), top).dga
+    blocks = fractional = 0
+    for n in range(top + 1):
+        for w in sorted(dga.gs.basis_by_weight(n)):
+            src, dst, mat = dga.d_matrix(n, w)
+            assert (mat.nrows, mat.ncols) == (len(dst), len(src))
+            index = {m: i for i, m in enumerate(dst)}
+            want = [{} for _ in dst]
+            for j, m in enumerate(src):
+                for mm, c in _reference_d(dga, m).terms.items():
+                    want[index[mm]][j] = c
+            got = [{j: Fraction(v) for j, v in row.items()} for row in mat.rows]
+            assert got == want, (n, w)
+            blocks += 1
+            fractional += any(Fraction(v).denominator > 1
+                              for row in mat.rows for v in row.values())
+    assert blocks > 50
+    assert bool(fractional) == fractions

@@ -148,3 +148,53 @@ def test_append_only_extension_preserves_monomials(gs2):
     gs2.add("extra", 5, (0, 0))
     assert gs2.degree(m) == deg_before
     assert m in gs2.basis(6)
+
+
+def _reference_by_weight(gs, degree):
+    """Every monomial of the degree from a plain recursion over the
+    generators, sorted, then grouped by ``weight()`` in that order."""
+    monos = []
+
+    def extend(k, remaining, even, odd):
+        if remaining == 0:
+            monos.append(fg.Monomial(tuple(sorted(even)), odd))
+            return
+        if k == len(gs.gens):
+            return
+        g = gs.gens[k]
+        extend(k + 1, remaining, even, odd)
+        if g.is_odd:
+            if g.degree <= remaining:
+                extend(k + 1, remaining - g.degree, even, odd | 1 << g.ordinal)
+        else:
+            for e in range(1, remaining // g.degree + 1):
+                extend(k + 1, remaining - e * g.degree,
+                       even + [(g.ordinal, e)], odd)
+
+    extend(0, degree, [], 0)
+    by_w = {}
+    for m in sorted(monos):
+        by_w.setdefault(gs.weight(m), []).append(m)
+    return by_w
+
+
+def _model_generators():
+    # the full ring's even generators have weight zero; a model's do not
+    from sphomotopy import sullivan
+
+    return sullivan.build(sullivan.moduli_target(2), 7).dga.gs
+
+
+@pytest.mark.parametrize("make_gs", [lambda: full_generators(2),
+                                     lambda: full_generators(3),
+                                     lambda: full_generators(4),
+                                     _model_generators],
+                         ids=["full-2", "full-3", "full-4", "model-2-to-7"])
+def test_enumerated_weights_match_weight_grouping(make_gs):
+    gs = make_gs()
+    for degree in range(13):
+        got = gs.basis_by_weight(degree)
+        want = _reference_by_weight(gs, degree)
+        # same weights in the same order, same monomials in the same order
+        assert list(got.items()) == list(want.items()), degree
+        assert sum(map(len, got.values())) == gs.count_monomials(degree)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,49 @@ def test_transgression_into_coboundaries_rejected(monkeypatch):
     monkeypatch.setattr(DGA, "cohomology", kernel_claimed_bounding)
     with pytest.raises(InternalInconsistency, match="not injective on H"):
         model.extend_stage(3)
+
+
+def _bump_below_free(vecs):
+    """Add 1 at the smallest entry of every vector with two or more
+    entries: for a canonical kernel vector that entry is a pivot column,
+    so the bumped vector leaves the kernel."""
+    out = []
+    for v in vecs:
+        v = dict(v)
+        if len(v) > 1:
+            p = min(v)
+            v[p] += 1
+        out.append(v)
+    return out
+
+
+def test_noncocycle_differential_detected(monkeypatch):
+    """d²=0 is checked as one product of the assembled d(n+1) block with
+    the new differentials, so representatives that the elimination got
+    wrong cannot become differentials."""
+    cohomology = DGA.cohomology
+
+    def off_kernel(self, n, weight=None):
+        blk = cohomology(self, n, weight)
+        return dataclasses.replace(
+            blk, representative_vectors=_bump_below_free(blk.representative_vectors))
+
+    target = sullivan.moduli_target(2)
+    monkeypatch.setattr(DGA, "cohomology", off_kernel)
+    with pytest.raises(InternalInconsistency, match=r"d\(d\(v\)\) != 0"):
+        sullivan.build(target, 8)
+
+
+def test_differential_outside_rho_kernel_detected(monkeypatch):
+    """ρ∘d=0 is checked as the block's ρ* matrix times each kernel vector,
+    so a kernel the elimination got wrong cannot become differentials."""
+    kernel_basis = ela.kernel_basis
+    target = sullivan.moduli_target(2)
+    monkeypatch.setattr(ela, "kernel_basis",
+                        lambda m: _bump_below_free(kernel_basis(m)))
+    with pytest.raises(InternalInconsistency,
+                       match="structure map fails to kill"):
+        sullivan.build(target, 8)
 
 
 def test_stage_after_hand_built_stages_rejected():

@@ -4,7 +4,9 @@
 ``(module, attribute path)`` entry of ``BOUNDARIES`` at a time. A rename or
 a deleted method would only show up when a traced benchmark run fails;
 this test resolves every entry the way ``Tracer.install`` does, without
-installing anything.
+installing anything. The count hooks read the results of the functions
+they wrap; they are run here on real results, so that a change of
+representation fails here and not only in a traced run.
 """
 
 import importlib
@@ -17,14 +19,15 @@ LAYERS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "perfbench", "layers.py")
 
 
-def _boundaries():
+def _layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.BOUNDARIES
+    return layers
 
 
-BOUNDARIES = _boundaries()
+LAYERS_MODULE = _layers()
+BOUNDARIES = LAYERS_MODULE.BOUNDARIES
 
 
 @pytest.mark.parametrize("module, path, span", BOUNDARIES,
@@ -48,3 +51,24 @@ def test_boundary_resolves(module, path, span):
 def test_boundaries_are_listed():
     # an empty list would turn the parametrized test above into a skip
     assert BOUNDARIES
+
+
+def test_count_hooks_read_real_results():
+    from sphomotopy import exact_linalg as ela
+    from sphomotopy import sullivan
+
+    dga = sullivan.build(sullivan.moduli_target(2), 6).dga
+    counts = LAYERS_MODULE.Tracer().counts
+    w = max(dga.gs.basis_by_weight(6))
+    result = dga.d_matrix(6, w)
+    LAYERS_MODULE._d_matrix_counts(counts, (dga, 6, w), result)
+    mat = result[2]
+    assert counts["d_matrix_nnz"] == sum(map(len, mat.rows)) > 0
+    assert counts["d_matrix_max_cols"] == mat.ncols == len(result[0])
+
+    rows = dga._d_rows(6, w)[1]
+    echelon = ela._echelon_rows(rows)
+    LAYERS_MODULE._echelon_counts(counts, (rows,), echelon)
+    assert counts["echelon_rows_in"] == len(rows) > 0
+    assert counts["echelon_rank_out"] == len(echelon[0]) > 0
+    assert counts["max_coeff_bits"] >= 1
