@@ -92,6 +92,7 @@ def cmd_minimal_model(args) -> int:
     model = _build_model(args)
     dump = {"target": args.target, **model.to_json_dict(genus=args.genus),
             "max_degree": args.max_degree}
+    del model  # the dump is all that is left to print: free the model first
     if args.format == "json":
         print(json.dumps(dump, ensure_ascii=False))
         return 0

@@ -19,12 +19,15 @@ scaling, although they do under column scaling. ``Element``s are built
 only at the API edge (``d_monomial``, ``apply_d``, cohomology
 representatives on request).
 
-A quotient is represented per degree by a canonical monomial transversal:
-the non-pivot monomials after row-reducing the span of the relations in
-that degree. Every relation has one degree and one weight, so that span
-splits into (degree, weight) blocks, and each block is row-reduced on its
-own. Multiplication is multiply-then-reduce, which is well defined
-because the relations are homogeneous.
+A quotient keeps one record per degree, read off the row-reduced span of
+the relations in that degree. Every relation has one degree and one
+weight, so that span splits into (degree, weight) blocks, and each block
+is row-reduced on its own. The record holds each block's canonical
+monomial transversal (the non-pivot monomials) and, for each pivot
+monomial, its reduced form over the transversal. Reduction replaces each
+pivot monomial by its form, in one pass; multiplication is
+multiply-then-reduce, which is well defined because the relations are
+homogeneous.
 """
 
 from __future__ import annotations
@@ -86,23 +89,29 @@ class DGA:
     def __init__(self, gs: GeneratorSet, differential=None, relations=None,
                  check: bool = True):
         self.gs = gs
-        self.d_of: dict[int, Element] = {}
         self.relations = list(relations) if relations else None
         # generator index, resp. monomial -> d as (den, {monomial: int})
-        self._d_gen: dict[int, tuple] = {}
+        self._d_gen: dict[int, tuple] = {g.index: _NO_D for g in gs.gens}
         self._d_cache: dict = {ONE: _NO_D}
         self._dmat_cache: dict = {}
+        # degree -> (by_weight, pivots), see _quotient_data
         self._quot_cache: dict = {}
-        self._quot_index: dict = {}
-        self._weight_cache: dict = {}
-        if differential:
-            for name, img in differential.items():
-                self._set_d(gs[name].index, img, check)
-        for g in gs.gens:
-            if g.index not in self.d_of:
-                self._set_d(g.index, gs.zero(), False)
+        for name, img in (differential or {}).items():
+            g = gs[name]
+            if check and not img.is_zero():
+                try:
+                    deg, wt = img.degree(), img.weight()
+                except ValueError as exc:
+                    raise ValidationFailure(f"d({name}): {exc}") from None
+                if deg != g.degree + 1:
+                    raise ValidationFailure(
+                        f"d({name}) must be homogeneous of degree {g.degree + 1}")
+                if wt != g.weight:
+                    raise ValidationFailure(
+                        f"d({name}) must preserve the weight {g.weight}")
+            self._d_gen[g.index] = ela._cleared(img.terms)
         if self.relations is not None:
-            if any(not x.is_zero() for x in self.d_of.values()):
+            if any(terms for _, terms in self._d_gen.values()):
                 raise ValidationFailure(
                     "quotient targets must carry the zero differential")
             self._int_relations = []
@@ -123,38 +132,19 @@ class DGA:
 
     # -- construction ------------------------------------------------------
 
-    def _set_d(self, index: int, img: Element, check: bool):
-        g = self.gs.gens[index]
-        if check and not img.is_zero():
-            try:
-                deg, wt = img.degree(), img.weight()
-            except ValueError as exc:
-                raise ValidationFailure(f"d({g.name}): {exc}") from None
-            if deg != g.degree + 1:
-                raise ValidationFailure(
-                    f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
-            if wt != g.weight:
-                raise ValidationFailure(
-                    f"d({g.name}) must preserve the weight {g.weight}")
-        self.d_of[index] = img
-        self._d_gen[index] = ela._cleared(img.terms)
-
-    def add_generator(self, name, degree, weight, d_image: Element | None,
-                      check: bool = True):
+    def add_generator(self, name, degree, weight, d_image: Element):
         """Append a generator with its differential (model growth path).
 
-        ``check=False`` skips the homogeneity and d(d(v)) = 0 checks; the
-        model construction makes both for a whole block at once.
+        Nothing is checked here: the model construction checks d(d(v)) = 0
+        for a whole block at once, and ``d_matrix`` rejects a differential
+        that leaves its (degree, weight) block.
         """
         g = self.gs.add(name, degree, weight)
         # d: n -> n+1 changes only where basis n or n+1 gains monomials;
         # the differentials of the monomials already cached stay as they are
         for key in [k for k in self._dmat_cache if k[0] >= degree - 1]:
             del self._dmat_cache[key]
-        img = d_image if d_image is not None else self.gs.zero()
-        self._set_d(g.index, img, check)
-        if check and not self.apply_d(img).is_zero():
-            raise ValidationFailure(f"d(d({name})) != 0")
+        self._d_gen[g.index] = ela._cleared(d_image.terms)
         return g
 
     # -- differential -------------------------------------------------------
@@ -227,7 +217,7 @@ class DGA:
         for g in self.gs.gens:
             if max_degree is not None and g.degree > max_degree:
                 continue
-            if not self.apply_d(self.d_of[g.index]).is_zero():
+            if not self.apply_d(self.d_monomial(self.gs.monomial_of(g))).is_zero():
                 bad.append(g.name)
         return bad
 
@@ -240,14 +230,7 @@ class DGA:
         """{weight: monomials} of the degree-n basis, weights unsorted."""
         if not self.is_quotient():
             return self.gs.basis_by_weight(n)
-        cached = self._weight_cache.get(n)
-        if cached is None:
-            monos, transversal, _, _ = self._quotient_data(n)
-            cached = {}
-            for i in transversal:
-                cached.setdefault(self.gs.weight(monos[i]), []).append(monos[i])
-            self._weight_cache[n] = cached
-        return cached
+        return (self._quot_cache.get(n) or self._quotient_data(n))[0]
 
     def basis(self, n: int, weight=None) -> list[Monomial]:
         by_w = self.basis_by_weight(n)
@@ -273,27 +256,36 @@ class DGA:
         return out
 
     def _quotient_data(self, n: int):
-        """(monomials, transversal indices, pivot->row, rref rows) at degree n.
+        """``(by_weight, pivots)`` of the quotient in degree n.
 
+        ``by_weight`` maps each weight with a nonzero block to its sorted
+        transversal monomials (the non-pivot columns); ``pivots`` maps each
+        pivot monomial to its reduced form ``{transversal monomial: Fraction}``.
         The span of the products r·m is block-diagonal over weights, and
         the RREF of a block-diagonal matrix is the union of its blocks'
         RREFs; RREF is unique, so eliminating block by block gives the
-        degree-wide result.
+        degree-wide result. The degree-wide basis is sorted by weight
+        first, so a block's own column order is the degree-wide one.
         """
         cached = self._quot_cache.get(n)
         if cached is not None:
             return cached
         gs = self.gs
         mul = gs.mul_monomials
-        monos = gs.basis(n)
-        index = {m: i for i, m in enumerate(monos)}
-        blocks: dict = {}
+        monos_by_w = gs.basis_by_weight(n)
+        blocks: dict = {}  # weight -> (block index, rows)
         for dr, wr, terms in self._int_relations:
             if dr > n:
                 continue
             for wm, ms in gs.basis_by_weight(n - dr).items():
-                rows = blocks.setdefault(
-                    tuple(a + b for a, b in zip(wr, wm)), [])
+                w = tuple(a + b for a, b in zip(wr, wm))
+                block = blocks.get(w)
+                if block is None:
+                    if w not in monos_by_w:
+                        continue  # no monomial of weight w: every product vanishes
+                    block = blocks[w] = (
+                        {m: i for i, m in enumerate(monos_by_w[w])}, [])
+                index, rows = block
                 for m in ms:
                     # mr ↦ mr·m is injective, so no two terms of r share a
                     # product monomial and no coefficients need summing
@@ -307,44 +299,51 @@ class DGA:
                     if row:
                         row.sort()
                         rows.append(tuple(zip(*row)))  # (cols, nums)
-        pairs = []
-        for rows in blocks.values():
-            if rows:
-                pairs.extend(zip(*ela._echelon_rows(rows)))
-        pairs.sort(key=lambda pr: pr[0])
-        pivot_row = dict(pairs)
-        rref_rows = [row for _, row in pairs]
-        transversal = [i for i in range(len(monos)) if i not in pivot_row]
-        cached = (monos, transversal, pivot_row, rref_rows)
+        by_weight = {}
+        pivots = {}
+        for w in sorted(monos_by_w):
+            monos = monos_by_w[w]
+            pivot_cols = ()
+            if w in blocks and blocks[w][1]:
+                pivot_cols, rows = ela._echelon_rows(blocks[w][1])
+                # an RREF row is zero at the other pivot columns
+                for p, row in zip(pivot_cols, rows):
+                    pivots[monos[p]] = {monos[c]: -v for c, v in row.items()
+                                        if c != p}
+            if len(pivot_cols) < len(monos):
+                pivot_set = set(pivot_cols)
+                by_weight[w] = [m for i, m in enumerate(monos)
+                                if i not in pivot_set]
+        cached = (by_weight, pivots)
         self._quot_cache[n] = cached
-        self._quot_index[n] = index
         return cached
 
     def reduce(self, x: Element) -> Element:
-        """Canonical form of ``x`` in the quotient (identity for free DGAs)."""
+        """Canonical form of ``x`` in the quotient (identity for free DGAs).
+
+        One pass over the terms: a pivot monomial is replaced by its
+        reduced form, which has no pivot monomial in it.
+        """
         if not self.is_quotient() or x.is_zero():
             return x
         gs = self.gs
-        by_degree: dict[int, dict] = {}
+        cache = self._quot_cache
+        out: dict = {}
         for m, c in x.terms.items():
-            by_degree.setdefault(gs.degree(m), {})[m] = c
-        out = gs.zero()
-        for n, terms in by_degree.items():
-            monos, _, pivot_row, _ = self._quotient_data(n)
-            index = self._quot_index[n]
-            coords = {index[m]: c for m, c in terms.items()}
-            for p in sorted(pivot_row):
-                c = coords.get(p)
-                if not c:
-                    continue
-                for col, v in pivot_row[p].items():
-                    nv = coords.get(col, 0) - c * v
-                    if nv:
-                        coords[col] = nv
-                    else:
-                        coords.pop(col, None)
-            out = out + Element(gs, {monos[i]: c for i, c in coords.items() if c})
-        return out
+            n = gs.degree(m)
+            form = (cache.get(n) or self._quotient_data(n))[1].get(m)
+            if form is None:
+                form = ((m, c),)
+            else:
+                form = [(t, c * v) for t, v in form.items()]
+            for t, v in form:
+                if t in out:
+                    v += out[t]
+                    if not v:
+                        del out[t]
+                        continue
+                out[t] = v
+        return Element(gs, out)
 
     def multiply(self, x: Element, y: Element) -> Element:
         return self.reduce(x * y)

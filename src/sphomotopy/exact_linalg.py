@@ -55,14 +55,6 @@ class RationalMatrix:
     def identity(cls, n: int):
         return cls(n, n, [{i: _ONE} for i in range(n)])
 
-    def columns(self):
-        """One ``{row: value}`` dict per column, in one pass over the entries."""
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return cols
-
     def to_dense(self):
         return [
             [self.rows[i].get(j, _ZERO) for j in range(self.ncols)]
@@ -321,8 +313,3 @@ def preimage_many(m: RationalMatrix, bs):
                     vec[p] = v
         sols.append(tuple(vec))
     return sols
-
-
-def preimage(m: RationalMatrix, b):
-    """Canonical solution of ``m x = b`` (free variables zero)."""
-    return preimage_many(m, [b])[0]

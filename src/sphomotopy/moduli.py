@@ -145,7 +145,7 @@ def primitive_basis(g: int, k: int):
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
     mat = ela.RationalMatrix.from_columns(columns, len(dst))
     vecs = ela.kernel_basis(mat)
-    expected = comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
+    expected = primitive_dimension(g, k)
     if len(vecs) != expected:
         raise ValidationFailure(
             f"primitive part ({g},{k}) has dimension {len(vecs)} != {expected}")

@@ -28,8 +28,10 @@ independent modulo the coboundaries.
 
 The postconditions on the new generators are checked once per weight
 block, against the inputs rather than the elimination: the assembled
-d(n+1) block times the new differentials is zero (d²=0), and the ρ*
-matrix of the block times each kernel vector is zero (ρ∘d=0).
+d(n+1) block times the new differentials is zero (d²=0), the ρ* matrix
+of the block times each kernel vector is zero (ρ∘d=0), and the new
+differentials vanish at the block's monomials of word length < 2
+(minimality).
 
 All splittings are the echelon-canonical complements from
 ``exact_linalg``, computed one torus-weight block at a time. Blockwise
@@ -145,7 +147,8 @@ class MinimalModel:
         out = self.target.gs.zero()
         for m, c in x.terms.items():
             out = out + self.rho_of_monomial(m).scale(c)
-        return self.target.reduce(out)
+        # each image is reduced, and so is a combination of reduced forms
+        return out
 
     # -- construction ----------------------------------------------------------
 
@@ -153,23 +156,16 @@ class MinimalModel:
         self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
-                  rho_image, require_minimal=True, check=True):
-        """Adjoin one generator. ``check=False`` leaves out the per-generator
-        d(d(v)) = 0 and ρ*(d(v)) = 0 checks, for callers that made them
-        for the whole block (``extend_stage``)."""
-        if require_minimal and not d_image.is_zero():
-            if d_image != d_image.word_component(2, at_least=True):
-                raise InternalInconsistency(
-                    f"d({name}) has a word-length-1 term")
-        g = self.dga.add_generator(name, degree, weight, d_image, check)
+                  rho_image):
+        """Adjoin one generator. Its postconditions are the caller's: block
+        identities in ``extend_stage``, direct checks in ``invariant_model``."""
+        g = self.dga.add_generator(name, degree, weight, d_image)
         self.rho[g.index] = rho_image
         if rho_image.is_zero():
             if g.is_odd:
                 self._rho_zero_odd |= 1 << g.ordinal
             else:
                 self._rho_zero_even.add(g.ordinal)
-        if check and not self.rho_star(d_image).is_zero():
-            raise InternalInconsistency(f"structure map fails to kill d({name})")
         stage_gens.append(StageGenerator(name, degree, tuple(weight), part,
                                          d_image, rho_image))
 
@@ -246,12 +242,12 @@ class MinimalModel:
         for w, mono in c_plan:
             rho_img = Element(A.gs, {mono: Fraction(1)})
             self._register(stage_gens, fresh_name(w), n, w, "C",
-                           gs.zero(), rho_img, check=False)
+                           gs.zero(), rho_img)
         for w, d_img in n_plan:
             if d_img.weight() != w:
                 raise InternalInconsistency("differential image off-weight")
             self._register(stage_gens, fresh_name(w), n, w, "N",
-                           d_img, A.gs.zero(), check=False)
+                           d_img, A.gs.zero())
         stage = MinimalModelStage(n, stage_gens)
         self.stages.append(stage)
         self._complements = (n + 1, complements)
@@ -259,11 +255,13 @@ class MinimalModel:
 
     def _kernel_part(self, blk, rho_cols, kernel) -> list:
         """The N generators' differentials for one block of H^{n+1}, as
-        ``(weight, d_image)`` pairs, after both postconditions are checked
+        ``(weight, d_image)`` pairs, after the postconditions are checked
         for the whole block against its inputs:
 
         * ρ∘d = 0: the ρ* matrix ``rho_cols`` (one target vector per
           representative) kills every kernel vector;
+        * minimality: no d(v) has an entry at a position of
+          ``blk.monomials`` of word length < 2;
         * d²=0: the assembled d(n+1) block kills every d(v), one integer
           product with the d(v) cleared of their denominators.
         """
@@ -283,13 +281,17 @@ class MinimalModel:
                 for i, v in reps[j].items():
                     vec[i] = vec.get(i, 0) + c * v
             vecs.append({i: v for i, v in vec.items() if v})
+        src = blk.monomials
+        gs = self.dga.gs
+        low = {i for i, m in enumerate(src) if gs.word_length(m) < 2}
+        if low and any(not low.isdisjoint(vec) for vec in vecs):
+            raise InternalInconsistency(
+                f"a new differential has a word-length-1 term at weight {blk.weight}")
         ints = [(list(iv), list(iv.values()))
                 for _, iv in map(ela._cleared, vecs)]
         if not self.dga.kills(blk.degree, blk.weight, ints):
             raise InternalInconsistency(
                 f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
-        src = blk.monomials
-        gs = self.dga.gs
         return [(blk.weight, Element(gs, {src[i]: v for i, v in vec.items()}))
                 for vec in vecs]
 
@@ -447,8 +449,16 @@ def invariant_model(g: int, max_degree: int,
             d_img = Element(gs, dict(d_poly.terms))
             rho_img = A.gs.zero()
         bucket: list[StageGenerator] = by_degree.setdefault(deg, [])
-        model._register(bucket, name, deg, zero_w, part, d_img, rho_img,
-                        require_minimal=False)
+        model._register(bucket, name, deg, zero_w, part, d_img, rho_img)
+    # the transgressions are written down, not derived: check them
+    bad = model.dga.check_d_squared()
+    if bad:
+        raise InternalInconsistency(f"d(d(v)) != 0 for {bad}")
+    for gens in by_degree.values():
+        for gen in gens:
+            if not model.rho_star(gen.d_image).is_zero():
+                raise InternalInconsistency(
+                    f"structure map fails to kill d({gen.name})")
     for n in range(2, max_degree + 1):
         model._check_budget(n)
         model.stages.append(MinimalModelStage(n, by_degree.get(n, [])))

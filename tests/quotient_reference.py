@@ -1,0 +1,30 @@
+"""Whole-degree reference for the quotient ring, which ``dga`` row-reduces
+one (degree, weight) block at a time."""
+
+from sphomotopy import exact_linalg as ela
+
+
+def whole_degree_quotient(ring, n):
+    """One elimination over every r·m product of degree n.
+
+    Returns ``(transversal, rows)``: the non-pivot monomials in basis
+    order, and ``{pivot monomial: RREF row as {monomial: Fraction}}`` in
+    pivot order.
+    """
+    gs = ring.gs
+    monos = gs.basis(n)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for r in ring.relations:
+        dr = r.degree()
+        if dr is None or dr > n:
+            continue
+        for m in gs.basis(n - dr):
+            prod = r * gs.element({m: 1})
+            if not prod.is_zero():
+                rows.append({index[mm]: c for mm, c in prod.terms.items()})
+    pivots, rref_rows = ela._echelon_rows(ela._int_rows(rows))
+    pivot_set = set(pivots)
+    transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
+    return transversal, {monos[p]: {monos[c]: v for c, v in row.items()}
+                         for p, row in zip(pivots, rref_rows)}

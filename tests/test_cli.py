@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -258,3 +260,23 @@ def test_golden_model_dump():
     res = run_cli("minimal-model", "--genus", "2", "--max-degree", "6",
                   "--format", "json")
     assert json.loads(res.stdout) == golden
+
+
+def _perfbench_workloads(monkeypatch):
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_g2_deep_output_bytes(monkeypatch, capsys):
+    """The genus-2 model through degree 12 prints exactly the bytes the
+    benchmark recorded; the golden file covers only degrees up to 6."""
+    workload = _perfbench_workloads(monkeypatch)["g2-deep"]
+    assert cli.main(list(workload.argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == workload.sha256

@@ -8,6 +8,8 @@ from sphomotopy.dga import DGA
 from sphomotopy.errors import InternalInconsistency, ValidationFailure
 from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 
+from quotient_reference import whole_degree_quotient
+
 
 @pytest.fixture
 def sphere_model():
@@ -101,22 +103,43 @@ def _rings():
     yield from (moduli.invariant_ring(g) for g in (2, 3, 4, 5))
 
 
-@pytest.mark.parametrize("ring", _rings(),
-                         ids=["full-2", "full-3", "inv-2", "inv-3", "inv-4", "inv-5"])
+RING_IDS = ["full-2", "full-3", "inv-2", "inv-3", "inv-4", "inv-5"]
+
+
+@pytest.mark.parametrize("ring", _rings(), ids=RING_IDS)
 def test_quotient_basis_by_weight_splits_transversal(ring):
-    """The per-weight blocks, in sorted weight order, are the transversal of
-    ``_quotient_data``; each block is the weight filter of the basis."""
+    """The per-weight blocks of ``_quotient_data``, in sorted weight order,
+    are the whole-degree transversal; each block is the weight filter of
+    the basis."""
     gs = ring.gs
     top = 6 * gs.weight_len - 3
     for n in range(top + 1):
-        monos, transversal, _, _ = ring._quotient_data(n)
-        by_w = ring.basis_by_weight(n)
-        basis = [m for w in sorted(by_w) for m in by_w[w]]
-        assert basis == [monos[i] for i in transversal] == ring.basis(n), n
+        by_w, _ = ring._quotient_data(n)
+        transversal, _ = whole_degree_quotient(ring, n)
+        assert ring.basis_by_weight(n) is by_w
+        assert list(by_w) == sorted(by_w), n
+        basis = [m for w in by_w for m in by_w[w]]
+        assert basis == transversal == ring.basis(n), n
         assert ring.dim(n) == len(basis)
         for w, block in by_w.items():
             assert block == [m for m in basis if gs.weight(m) == w], (n, w)
             assert ring.basis(n, w) == block
+
+
+@pytest.mark.parametrize("ring", _rings(), ids=RING_IDS)
+def test_quotient_reduce_matches_whole_degree(ring):
+    """``reduce`` of every monomial is the reduction read off one
+    whole-degree elimination: a transversal monomial stays, a pivot p
+    becomes p minus its RREF row."""
+    gs = ring.gs
+    for n in range(6 * gs.weight_len - 2):
+        transversal, rows = whole_degree_quotient(ring, n)
+        assert len(transversal) + len(rows) == len(gs.basis(n))
+        for m in gs.basis(n):
+            row = rows.get(m)
+            want = {m: 1} if row is None else \
+                {t: -v for t, v in row.items() if t != m}
+            assert ring.reduce(gs.element({m: 1})) == gs.element(want), (n, m)
 
 
 def test_coords_block_rejects_foreign_terms():
@@ -273,7 +296,7 @@ def _reference_d(dga, m):
     for k, (o, e) in enumerate(m.even):
         rest_even = m.even[:k] + (((o, e - 1),) if e > 1 else ()) + m.even[k + 1:]
         rest = Element(gs, {Monomial(rest_even, m.odd): Fraction(e)})
-        out = out + dga.d_of[gs.even[o].index] * rest
+        out = out + dga.d_monomial(gs.monomial_of(gs.even[o])) * rest
     passed = 0
     for o in range(m.odd.bit_length()):
         low = 1 << o
@@ -281,7 +304,7 @@ def _reference_d(dga, m):
             continue
         before = Element(gs, {Monomial(m.even, m.odd & (low - 1)): Fraction(1)})
         after = Element(gs, {Monomial((), m.odd & ~(2 * low - 1)): Fraction(1)})
-        term = before * dga.d_of[gs.odd[o].index] * after
+        term = before * dga.d_monomial(gs.monomial_of(gs.odd[o])) * after
         out = out + (-term if passed % 2 else term)
         passed += 1
     return out

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli
 from sphomotopy.dga import DGA
 from sphomotopy.free_gca import Element
+
+from quotient_reference import whole_degree_quotient
 
 
 def test_q_polynomials_genus_1():
@@ -75,33 +76,21 @@ def test_relations_are_weight_homogeneous(g):
         assert e.weight() is not None
 
 
-def _whole_degree_quotient(ring, n):
-    """Reference: one elimination over every r·m product of degree n."""
-    gs = ring.gs
-    monos = gs.basis(n)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for r in ring.relations:
-        dr = r.degree()
-        if dr is None or dr > n:
-            continue
-        for m in gs.basis(n - dr):
-            prod = r * gs.element({m: 1})
-            if not prod.is_zero():
-                rows.append({index[mm]: c for mm, c in prod.terms.items()})
-    pivots, rref_rows = ela._echelon_rows(ela._int_rows(rows))
-    pivot_set = set(pivots)
-    transversal = [i for i in range(len(monos)) if i not in pivot_set]
-    return transversal, dict(zip(pivots, rref_rows)), rref_rows
-
-
 def _assert_blocked_matches_whole_degree(ring, g):
     for n in range(6 * g - 2):
-        _, transversal, pivot_row, rref_rows = ring._quotient_data(n)
-        ref_transversal, ref_pivot_row, ref_rows = _whole_degree_quotient(ring, n)
-        assert transversal == ref_transversal, n
-        assert list(pivot_row.items()) == list(ref_pivot_row.items()), n
-        assert rref_rows == ref_rows, n
+        by_weight, pivots = ring._quotient_data(n)
+        ref_transversal, ref_rows = whole_degree_quotient(ring, n)
+        # blocks: nonempty, in sorted weight order, concatenating to the
+        # transversal
+        assert list(by_weight) == sorted(by_weight), n
+        assert all(by_weight.values()), n
+        assert [m for ms in by_weight.values() for m in ms] == ref_transversal, n
+        # pivot rows, in pivot order: the RREF row of p is p minus its
+        # reduced form
+        assert list(pivots) == list(ref_rows), n
+        for p, row in ref_rows.items():
+            form = {t: -v for t, v in pivots[p].items()}
+            assert {p: 1, **form} == row, (n, p)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

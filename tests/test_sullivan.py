@@ -5,10 +5,10 @@ import pytest
 
 from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli, sp_characters, sullivan, tables
-from sphomotopy.dga import DGA
+from sphomotopy.dga import DGA, CohomologyBlock
 from sphomotopy.errors import (BudgetExceeded, InternalInconsistency,
                                TargetNotOneConnected, ValidationFailure)
-from sphomotopy.free_gca import Element, GeneratorSet
+from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 
 
 def sphere_target():
@@ -135,7 +135,7 @@ def test_model_properties_hold(g2_model):
 def test_weights_preserved_by_d(g2_model):
     gs = g2_model.dga.gs
     for gen in gs.gens:
-        img = g2_model.dga.d_of[gen.index]
+        img = g2_model.dga.d_monomial(gs.monomial_of(gen))
         if not img.is_zero():
             assert img.weight() == gen.weight
             assert img.degree() == gen.degree + 1
@@ -307,6 +307,74 @@ def test_invariant_model_genus_1_target_trivial():
 def test_invariant_finite_model_needs_genus_2():
     with pytest.raises(ValueError):
         sullivan.invariant_model(1, 13)
+
+
+def _corrupt_invariant_triple(monkeypatch, **extra):
+    """Add ``extra[name]`` to the named polynomials of the relation triple
+    that ``invariant_model`` transgresses to; the target ring keeps the
+    true triple. Each extra is a function of the triple's generator set."""
+    q_polynomials = moduli.q_polynomials
+
+    def corrupted(g, gs=None):
+        q = q_polynomials(g, gs)
+        if gs is not None:
+            return q
+        return dataclasses.replace(q, **{
+            name: getattr(q, name) + make(q.q1.gs) for name, make in extra.items()})
+
+    monkeypatch.setattr(moduli, "q_polynomials", corrupted)
+
+
+def test_invariant_transgression_outside_rho_kernel_detected(monkeypatch):
+    """ρ*(d(f)) = 0 is checked for the hand-written transgressions: here
+    d(f1) = α² + 2β, and ρ*(d(f1)) = β is not zero in the ring."""
+    _corrupt_invariant_triple(monkeypatch, q1=lambda gs: gs.gen("β"))
+    with pytest.raises(InternalInconsistency,
+                       match=r"structure map fails to kill d\(f1\)"):
+        sullivan.invariant_model(2, 13)
+
+
+def test_invariant_transgression_off_cocycles_detected(monkeypatch):
+    """d(d(f)) = 0 is checked for the hand-written transgressions: here
+    d(f3) gains f1·f2, which ρ* kills, but d(f1·f2) = q1·f2 - f1·q2."""
+    f1f2 = Monomial((), 0b11)  # the model's odd generators, in order
+    _corrupt_invariant_triple(
+        monkeypatch, q3=lambda gs: Element(gs, {f1f2: Fraction(1)}))
+    with pytest.raises(InternalInconsistency, match=r"d\(d\(v\)\) != 0"):
+        sullivan.invariant_model(2, 13)
+
+
+def test_word_length_one_differential_detected():
+    """Minimality is a block identity in ``_kernel_part``: a new d(v) with
+    an entry at a generator's position of the block is rejected. The
+    synthetic block puts the cocycle v2 of the sphere model there, so the
+    ρ∘d=0 and d²=0 identities both hold."""
+    model = sullivan.build(sphere_target(), 3)
+    gs = model.dga.gs
+    v2 = gs.monomial_of(model.stage(2).generators[0].name)
+    assert model.dga.basis(2, ()) == [v2]
+    one = {0: Fraction(1)}
+    blk = CohomologyBlock(degree=2, weight=(), monomials=[v2],
+                          coboundary_vectors=[], representative_vectors=[one],
+                          coordinates=[], positions=[0], gs=gs)
+    with pytest.raises(InternalInconsistency, match="word-length-1 term"):
+        model._kernel_part(blk, [{}], [one])
+
+
+def test_rho_star_is_reduced(g2_model):
+    """``rho_star`` returns reduced forms without reducing at the end:
+    every monomial image is reduced, and so is a combination of them."""
+    A = g2_model.target
+    total = g2_model.dga.gs.zero()
+    for n in range(2, 8):
+        for k, m in enumerate(g2_model.dga.gs.basis(n)):
+            x = g2_model.dga.gs.element({m: k + 1})
+            total = total + x
+            image = g2_model.rho_star(x)
+            assert image == A.reduce(image), m
+    image = g2_model.rho_star(total)
+    assert not image.is_zero()
+    assert image == A.reduce(image)
 
 
 def test_generic_build_matches_invariant_model_genus_4():
