@@ -30,7 +30,8 @@ def _budget(args) -> int:
 def cmd_betti(args) -> int:
     if args.genus < 2:
         raise SystemExit("betti: the full ring needs --genus >= 2")
-    # the ring is built through degree 6g-3; refuse before forming products
+    # the free bases are enumerated through degree 6g-3; refuse before
+    # forming products
     moduli.full_generators(args.genus).check_budget(range(6 * args.genus - 2),
                                                     _budget(args))
     # raises on a mismatch between the two paths

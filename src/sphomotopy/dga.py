@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import sub
 
 from . import exact_linalg as ela
 from .errors import InternalInconsistency, ValidationFailure
@@ -114,7 +115,8 @@ class DGA:
             if any(terms for _, terms in self._d_gen.values()):
                 raise ValidationFailure(
                     "quotient targets must carry the zero differential")
-            self._int_relations = []
+            # degree -> weight -> [(position, integer terms)], see _quotient_block
+            self._rel_groups: dict = {}
             for pos, r in enumerate(self.relations):
                 try:
                     deg, wt = r.degree(), r.weight()
@@ -124,7 +126,8 @@ class DGA:
                     continue
                 # integer multiple of r: scaling a row leaves the RREF alone
                 _, terms = ela._cleared(r.terms)
-                self._int_relations.append((deg, wt, list(terms.items())))
+                self._rel_groups.setdefault(deg, {}).setdefault(wt, []).append(
+                    (pos, list(terms.items())))
         if check:
             bad = self.check_d_squared()
             if bad:
@@ -270,53 +273,67 @@ class DGA:
         cached = self._quot_cache.get(n)
         if cached is not None:
             return cached
-        gs = self.gs
-        mul = gs.mul_monomials
-        monos_by_w = gs.basis_by_weight(n)
-        blocks: dict = {}  # weight -> (block index, rows)
-        for dr, wr, terms in self._int_relations:
-            if dr > n:
-                continue
-            for wm, ms in gs.basis_by_weight(n - dr).items():
-                w = tuple(a + b for a, b in zip(wr, wm))
-                block = blocks.get(w)
-                if block is None:
-                    if w not in monos_by_w:
-                        continue  # no monomial of weight w: every product vanishes
-                    block = blocks[w] = (
-                        {m: i for i, m in enumerate(monos_by_w[w])}, [])
-                index, rows = block
-                for m in ms:
-                    # mr ↦ mr·m is injective, so no two terms of r share a
-                    # product monomial and no coefficients need summing
-                    row = []
-                    odd = m.odd
-                    for mr, c in terms:
-                        if mr.odd & odd:
-                            continue  # an odd square: the product vanishes
-                        sign, mm = mul(mr, m)
-                        row.append((index[mm], sign * c))
-                    if row:
-                        row.sort()
-                        rows.append(tuple(zip(*row)))  # (cols, nums)
         by_weight = {}
         pivots = {}
-        for w in sorted(monos_by_w):
-            monos = monos_by_w[w]
-            pivot_cols = ()
-            if w in blocks and blocks[w][1]:
-                pivot_cols, rows = ela._echelon_rows(blocks[w][1])
-                # an RREF row is zero at the other pivot columns
-                for p, row in zip(pivot_cols, rows):
-                    pivots[monos[p]] = {monos[c]: -v for c, v in row.items()
-                                        if c != p}
-            if len(pivot_cols) < len(monos):
-                pivot_set = set(pivot_cols)
-                by_weight[w] = [m for i, m in enumerate(monos)
-                                if i not in pivot_set]
+        for w in sorted(self.gs.basis_by_weight(n)):
+            transversal, forms = self._quotient_block(n, w)
+            pivots.update(forms)
+            if transversal:
+                by_weight[w] = transversal
         cached = (by_weight, pivots)
         self._quot_cache[n] = cached
         return cached
+
+    def _quotient_block(self, n: int, w):
+        """``(transversal, pivots)`` of the weight-w block in degree n,
+        uncached; both are empty where no degree-n monomial has weight w.
+
+        The block's rows are the products r·m with m of weight
+        w - weight(r), found by lookup in the relations grouped by
+        (degree, weight), and they go in in the relations' order.
+        """
+        gs = self.gs
+        mul = gs.mul_monomials
+        monos = gs.basis_by_weight(n).get(w)
+        if not monos:
+            return [], {}
+        found = []  # (relation position, terms, cofactors)
+        for dr, groups in self._rel_groups.items():
+            if dr > n:
+                continue
+            cofactors = gs.basis_by_weight(n - dr)
+            # look up the weight pairs summing to w from the smaller side
+            swap = len(cofactors) < len(groups)
+            small, big = (cofactors, groups) if swap else (groups, cofactors)
+            for wa, a in small.items():
+                b = big.get(tuple(map(sub, w, wa)))
+                if b:
+                    rels, ms = (b, a) if swap else (a, b)
+                    found.extend((pos, terms, ms) for pos, terms in rels)
+        found.sort(key=lambda f: f[0])
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for _, terms, ms in found:
+            for m in ms:
+                # mr ↦ mr·m is injective, so no two terms of r share a
+                # product monomial and no coefficients need summing
+                row = []
+                odd = m.odd
+                for mr, c in terms:
+                    if mr.odd & odd:
+                        continue  # an odd square: the product vanishes
+                    sign, mm = mul(mr, m)
+                    row.append((index[mm], sign * c))
+                if row:
+                    row.sort()
+                    rows.append(tuple(zip(*row)))  # (cols, nums)
+        pivots = {}
+        pivot_cols, rref = ela._echelon_rows(rows)
+        # an RREF row is zero at the other pivot columns
+        for p, row in zip(pivot_cols, rref):
+            pivots[monos[p]] = {monos[c]: -v for c, v in row.items() if c != p}
+        pivot_set = set(pivot_cols)
+        return [m for i, m in enumerate(monos) if i not in pivot_set], pivots
 
     def reduce(self, x: Element) -> Element:
         """Canonical form of ``x`` in the quotient (identity for free DGAs).

@@ -11,13 +11,17 @@ form before being trusted.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+from . import exact_linalg as ela
 from .dga import DGA
 from .errors import ValidationFailure
-from .free_gca import Element, GeneratorSet
+from .free_gca import Element, GeneratorSet, Monomial, _bits
+from .sp_characters import _dominant_orbit_rep
 
 
 # -- generator sets ----------------------------------------------------------
@@ -130,15 +134,11 @@ def primitive_basis(g: int, k: int):
     gs = full_generators(g)
     if k == 0:
         return [gs.unit()]
-    src = [m for m in gs.basis(3 * k) if m.even == () and m.odd.bit_count() == k]
+    src = _odd_products(gs, k)
     power = g - k + 1
     omega_pow = symplectic_form_element(gs, g) ** power
-    dst_deg = 3 * (k + 2 * power)
-    dst = [m for m in gs.basis(dst_deg)
-           if m.even == () and m.odd.bit_count() == k + 2 * power]
+    dst = _odd_products(gs, k + 2 * power)
     index = {m: i for i, m in enumerate(dst)}
-    from . import exact_linalg as ela
-
     columns = []
     for m in src:
         prod = omega_pow * Element(gs, {m: Fraction(1)})
@@ -151,6 +151,14 @@ def primitive_basis(g: int, k: int):
             f"primitive part ({g},{k}) has dimension {len(vecs)} != {expected}")
     return [Element(gs, {src[i]: v for i, v in vec.items()})
             for vec in vecs]
+
+
+def _odd_products(gs: GeneratorSet, k: int) -> list:
+    """The k-fold products of the odd classes in basis order: by weight,
+    then by monomial."""
+    ms = [Monomial((), sum(1 << o for o in c))
+          for c in combinations(range(len(gs.odd)), k)]
+    return sorted(ms, key=lambda m: (gs.weight(m), m))
 
 
 def primitive_dimension(g: int, k: int) -> int:
@@ -197,19 +205,112 @@ def build_cohomology_algebra(g: int) -> DGA:
         raise ValueError("the full ring needs genus >= 2")
     gs = full_generators(g)
     ring = DGA(gs, {}, relations=relation_subspace_E(g))
+    _check_ring_dims(g, [ring.dim(n) for n in range(6 * g - 2)])
+    return ring
+
+
+def _check_ring_dims(g: int, dims: list):
+    """The postconditions on dim A^n for n = 0..6g-3: zero above the top
+    degree 6g-6, a one-dimensional top class, the degree-2/3 dimensions
+    and Poincaré duality."""
     top = 6 * g - 6
-    betti = [ring.dim(n) for n in range(top + 1)]
     for n in range(top + 1, top + 4):
-        if ring.dim(n) != 0:
-            raise ValidationFailure(f"nonzero dimension {ring.dim(n)} above top degree")
-    if betti[top] != 1:
-        raise ValidationFailure(f"top degree dimension {betti[top]} != 1")
-    if betti[2] != 1 or betti[3] != 2 * g:
+        if dims[n] != 0:
+            raise ValidationFailure(f"nonzero dimension {dims[n]} above top degree")
+    if dims[top] != 1:
+        raise ValidationFailure(f"top degree dimension {dims[top]} != 1")
+    if dims[2] != 1 or dims[3] != 2 * g:
         raise ValidationFailure("degree 2/3 dimensions are off")
     for n in range(top + 1):
-        if betti[n] != betti[top - n]:
+        if dims[n] != dims[top - n]:
             raise ValidationFailure(f"Poincaré duality fails at degree {n}")
-    return ring
+
+
+# -- Weyl symmetry of the relation ideal -----------------------------------------
+
+
+def _coxeter_generators(g: int) -> list:
+    """The Coxeter generators of the signed permutations W, as signed
+    permutations of the odd ordinals (γ_i has ordinal i-1): ``perm[o]`` is
+    ``(ordinal, sign)`` of the image of the o-th odd class.
+
+    s_i (i < g) swaps γ_i with γ_{i+1} and γ_{i+g} with γ_{i+g+1}; s_g
+    sends γ_g to γ_2g and γ_2g to -γ_g. Each is symplectic for
+    ω = Σ γ_i γ_{i+g}, fixes α and β, and acts on weights as the
+    corresponding reflection.
+    """
+    out = []
+    for i in range(g - 1):
+        perm = [(o, 1) for o in range(2 * g)]
+        perm[i], perm[i + 1] = (i + 1, 1), (i, 1)
+        perm[i + g], perm[i + g + 1] = (i + g + 1, 1), (i + g, 1)
+        out.append(perm)
+    perm = [(o, 1) for o in range(2 * g)]
+    perm[g - 1], perm[2 * g - 1] = (2 * g - 1, 1), (g - 1, -1)
+    out.append(perm)
+    return out
+
+
+def _permute_odd(perm: list, mask: int):
+    """``(sign, mask)`` of the image of the odd product on ``mask``: the
+    images' signs times the sign of sorting the images into place."""
+    sign = 1
+    images = []
+    for o in _bits(mask):
+        o, s = perm[o]
+        sign *= s
+        images.append(o)
+    for i, a in enumerate(images):
+        for b in images[i + 1:]:
+            if a > b:
+                sign = -sign
+    return sign, sum(1 << o for o in images)
+
+
+def _certify_weyl_stable(ring: DGA, g: int):
+    """Raise unless each Coxeter generator maps the span of the relations
+    into itself.
+
+    The span is graded by (degree, weight), and a generator s maps the
+    (d, w) part into the (d, s·w) part, so the check is one rank per
+    part. Each s induces a degree-preserving algebra automorphism φ_s of
+    the free algebra, so φ_s(E) ⊆ span E ⊆ I gives φ_s(I^n) ⊆ I^n and,
+    I^n being finite-dimensional, φ_s(I^n) = I^n.
+    """
+    gs = ring.gs
+    ranks: dict = {}  # (degree, weight) -> rank of that part of the span
+    for s, perm in enumerate(_coxeter_generators(g), 1):
+        moved = {}  # odd mask -> (sign, mask)
+        # the relations as degree -> weight -> [(position, integer terms)]
+        for d, parts in ring._rel_groups.items():
+            for w, rels in parts.items():
+                images = []
+                for _, terms in rels:
+                    image = []
+                    for m, c in terms:
+                        if m.odd not in moved:
+                            moved[m.odd] = _permute_odd(perm, m.odd)
+                        sign, mask = moved[m.odd]
+                        image.append((Monomial(m.even, mask), sign * c))
+                    images.append(image)
+                key = (d, gs.weight(images[0][0][0]))
+                target = [terms for _, terms in parts.get(key[1], ())]
+                if key not in ranks:
+                    ranks[key] = _span_rank(target)
+                if _span_rank(target + images) != ranks[key]:
+                    raise ValidationFailure(
+                        f"Weyl certificate failed: s{s} maps a relation of degree "
+                        f"{d} and weight {w} out of the span of the relations")
+
+
+def _span_rank(vecs: list) -> int:
+    """Rank of the span of vectors given as ``(monomial, int)`` pairs."""
+    index: dict = {}
+    rows = []
+    for v in vecs:
+        row = sorted((index.setdefault(m, len(index)), c) for m, c in v)
+        rows.append(tuple(zip(*row)))  # (cols, nums)
+    return len(ela._echelon_rows(rows)[0])
 
 
 # -- invariant subring ---------------------------------------------------------
@@ -272,9 +373,27 @@ def betti_decomposition(g: int):
 
 
 def betti_numbers(g: int):
-    """Betti numbers computed two independent ways and cross-checked."""
-    ring = build_cohomology_algebra(g)
-    betti = [ring.dim(n) for n in range(6 * g - 5)]
+    """Betti numbers computed two independent ways and cross-checked.
+
+    The quotient side row-reduces only the dominant weight blocks. Once
+    the relation ideal I is certified Weyl-stable, every φ_w (w ∈ W)
+    preserves I and maps the weight-μ block of the free algebra onto the
+    weight-wμ block up to signs, so dim A^n_μ = dim A^n_{wμ} and
+    dim A^n = Σ over the weights μ of the free degree-n basis of
+    dim A^n_{dominant rep of μ}.
+    """
+    if g < 2:
+        raise ValueError("the full ring needs genus >= 2")
+    gs = full_generators(g)
+    ring = DGA(gs, {}, relations=relation_subspace_E(g))
+    _certify_weyl_stable(ring, g)
+    dims = []
+    for n in range(6 * g - 2):
+        reps = Counter(_dominant_orbit_rep(w) for w in gs.basis_by_weight(n))
+        dims.append(sum(k * len(ring._quotient_block(n, rep)[0])
+                        for rep, k in reps.items()))
+    _check_ring_dims(g, dims)
+    betti = dims[:6 * g - 5]
     formula = betti_decomposition(g)
     if betti != formula:
         raise ValidationFailure(

@@ -242,6 +242,21 @@ def test_betti_mismatch_is_one_error_line(monkeypatch, capsys):
     assert out.err.count("\n") == 1
 
 
+def test_weyl_certificate_failure_is_one_error_line(monkeypatch, capsys):
+    """Relations that are not Weyl-stable, which only a bug can produce,
+    end in the certificate's one ``error:`` line and exit 1."""
+    from sphomotopy import moduli
+
+    full = moduli.relation_subspace_E
+    monkeypatch.setattr(moduli, "relation_subspace_E",
+                        lambda g: full(g)[:2] + full(g)[3:])
+    assert cli.main(["betti", "--genus", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: Weyl certificate failed")
+    assert out.err.count("\n") == 1
+
+
 def test_non_integer_budget_variable_rejected(monkeypatch, capsys):
     monkeypatch.setenv("SPHOMOTOPY_BUDGET", "abc")
     with pytest.raises(ValueError, match="SPHOMOTOPY_BUDGET"):
@@ -273,10 +288,12 @@ def _perfbench_workloads(monkeypatch):
     return module.WORKLOADS
 
 
-def test_g2_deep_output_bytes(monkeypatch, capsys):
-    """The genus-2 model through degree 12 prints exactly the bytes the
-    benchmark recorded; the golden file covers only degrees up to 6."""
-    workload = _perfbench_workloads(monkeypatch)["g2-deep"]
+@pytest.mark.parametrize("name", ["g2-deep", "betti-g5"])
+def test_workload_output_bytes(monkeypatch, capsys, name):
+    """The genus-2 model through degree 12 and the genus-5 Betti numbers
+    print exactly the bytes the benchmark recorded; the golden file covers
+    only degrees up to 6."""
+    workload = _perfbench_workloads(monkeypatch)[name]
     assert cli.main(list(workload.argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == workload.sha256

@@ -4,8 +4,11 @@ import pytest
 
 from sphomotopy import moduli
 from sphomotopy.dga import DGA
+from sphomotopy.errors import ValidationFailure
 from sphomotopy.free_gca import Element
+from sphomotopy.sp_characters import _dominant_orbit_rep
 
+import relation_reference
 from quotient_reference import whole_degree_quotient
 
 
@@ -70,6 +73,18 @@ def test_relation_subspace_size_and_expansion():
     assert min(e.degree() for e in E) == 4  # lowest relation degree is 2g
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_relation_subspace_matches_filtered_enumeration(g):
+    """The odd products enumerated directly give the same primitive
+    parts, in the same order, as filtering whole free-algebra bases."""
+    for k in range(g + 1):
+        assert moduli.primitive_basis(g, k) == \
+            relation_reference.primitive_basis(g, k), k
+    got, ref = moduli.relation_subspace_E(g), relation_reference.relation_subspace_E(g)
+    assert got == ref
+    assert [e.render() for e in got] == [e.render() for e in ref]
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_relations_are_weight_homogeneous(g):
     for e in moduli.relation_subspace_E(g):
@@ -119,6 +134,36 @@ def test_betti_cross_check_and_duality(g):
     assert betti == list(reversed(betti))
     assert betti[3] == 2 * g
     assert betti == moduli.betti_decomposition(g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_dominant_blocks_match_full_ring(g):
+    """The dominant-block Betti numbers equal the dimensions of the whole
+    ring, and on the whole ring every block has the dimension of its
+    dominant representative: the shortcut against the full elimination,
+    independently of the Weyl certificate."""
+    ring = moduli.build_cohomology_algebra(g)
+    assert moduli.betti_numbers(g) == [ring.dim(n) for n in range(6 * g - 5)]
+    for n in range(6 * g - 2):
+        by_weight = ring.basis_by_weight(n)
+        for w in ring.gs.basis_by_weight(n):
+            rep = _dominant_orbit_rep(w)
+            assert len(by_weight.get(w, ())) == len(by_weight.get(rep, ())), (n, w)
+
+
+def _drop_relation(monkeypatch, drop):
+    """Make ``relation_subspace_E`` leave out E[drop]."""
+    full = moduli.relation_subspace_E
+    monkeypatch.setattr(moduli, "relation_subspace_E",
+                        lambda g: [e for i, e in enumerate(full(g)) if i != drop])
+
+
+def test_weyl_certificate_rejects_unstable_relations(monkeypatch):
+    # E[2] is the genus-2 lead relation times γ4, the first vector of the
+    # first primitive part; s_1 maps the relation on γ5 to it
+    _drop_relation(monkeypatch, 2)
+    with pytest.raises(ValidationFailure, match="^Weyl certificate failed"):
+        moduli.betti_numbers(3)
 
 
 def test_relations_die_in_quotient():
