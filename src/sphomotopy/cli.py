@@ -23,19 +23,11 @@ from . import moduli, sp_characters, sullivan, tables
 from .errors import SphomotopyError
 
 
-def _budget(args) -> int:
-    return sullivan.configured_budget() if args.budget is None else args.budget
-
-
 def cmd_betti(args) -> int:
     if args.genus < 2:
         raise SystemExit("betti: the full ring needs --genus >= 2")
-    # the free bases are enumerated through degree 6g-3; refuse before
-    # forming products
-    moduli.full_generators(args.genus).check_budget(range(6 * args.genus - 2),
-                                                    _budget(args))
     # raises on a mismatch between the two paths
-    betti = moduli.betti_numbers(args.genus)
+    betti = moduli.betti_numbers(args.genus, args.budget)
     if args.format == "json":
         print(json.dumps({"genus": args.genus, "betti": betti, "cross_check": "ok"}))
     else:
@@ -58,7 +50,7 @@ def cmd_relations(args) -> int:
     }
     if g >= 2:
         # the primitive parts enumerate through degree 3(2g+1)
-        moduli.full_generators(g).check_budget(range(6 * g + 4), _budget(args))
+        moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
         payload["E"] = [e.render() for e in moduli.relation_subspace_E(g)]
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False))
@@ -85,7 +77,7 @@ def _build_model(args) -> sullivan.MinimalModel:
         return sullivan.invariant_model(args.genus, args.max_degree, args.budget)
     if args.genus < 2:
         raise SystemExit("full target needs --genus >= 2")
-    target = sullivan.moduli_target(args.genus)
+    target = sullivan.moduli_target(args.genus, args.budget)
     return sullivan.build(target, args.max_degree, args.budget)
 
 
@@ -119,7 +111,8 @@ def _genus2_model(args, max_degree: int) -> sullivan.MinimalModel:
     if args.genus is not None and args.genus != 2:
         raise ValueError(f"the {args.suite} suite runs genus 2 only, "
                          f"got --genus {args.genus}")
-    return sullivan.build(sullivan.moduli_target(2), max_degree, args.budget)
+    return sullivan.build(sullivan.moduli_target(2, args.budget), max_degree,
+                          args.budget)
 
 
 def _suite_low_degrees(args):
@@ -179,7 +172,8 @@ def _suite_higher_genus(args):
         raise ValueError("the higher-genus suite needs --genus >= 3")
     g = args.genus if args.genus is not None else 3
     max_degree = 2 * g + 1 if args.max_degree is None else args.max_degree
-    model = sullivan.build(sullivan.moduli_target(g), max_degree, args.budget)
+    model = sullivan.build(sullivan.moduli_target(g, args.budget), max_degree,
+                           args.budget)
     table = tables.low_degree_table(g)
     checks = []
     for n in range(2, min(max_degree, 2 * g + 1) + 1):

@@ -20,7 +20,7 @@ only at the API edge (``d_monomial``, ``apply_d``, cohomology
 representatives on request).
 
 A quotient keeps one record per degree, read off the row-reduced span of
-the relations in that degree. Every relation has one degree and one
+the relations in that degree and built when the degree is first read. Every relation has one degree and one
 weight, so that span splits into (degree, weight) blocks, and each block
 is row-reduced on its own. The record holds each block's canonical
 monomial transversal (the non-pivot monomials) and, for each pivot
@@ -87,8 +87,7 @@ _NO_D = (1, {})  # the integer differential of a cocycle; never mutated
 
 
 class DGA:
-    def __init__(self, gs: GeneratorSet, differential=None, relations=None,
-                 check: bool = True):
+    def __init__(self, gs: GeneratorSet, differential=None, relations=None):
         self.gs = gs
         self.relations = list(relations) if relations else None
         # generator index, resp. monomial -> d as (den, {monomial: int})
@@ -99,7 +98,7 @@ class DGA:
         self._quot_cache: dict = {}
         for name, img in (differential or {}).items():
             g = gs[name]
-            if check and not img.is_zero():
+            if not img.is_zero():
                 try:
                     deg, wt = img.degree(), img.weight()
                 except ValueError as exc:
@@ -128,10 +127,9 @@ class DGA:
                 _, terms = ela._cleared(r.terms)
                 self._rel_groups.setdefault(deg, {}).setdefault(wt, []).append(
                     (pos, list(terms.items())))
-        if check:
-            bad = self.check_d_squared()
-            if bad:
-                raise ValidationFailure(f"d·d != 0 on generators: {bad}")
+        bad = self.check_d_squared()
+        if bad:
+            raise ValidationFailure(f"d·d != 0 on generators: {bad}")
 
     # -- construction ------------------------------------------------------
 
@@ -214,15 +212,10 @@ class DGA:
             out = out + self.d_monomial(m).scale(c)
         return out
 
-    def check_d_squared(self, max_degree=None):
-        """Generators of degree <= max_degree with d(d(v)) != 0."""
-        bad = []
-        for g in self.gs.gens:
-            if max_degree is not None and g.degree > max_degree:
-                continue
-            if not self.apply_d(self.d_monomial(self.gs.monomial_of(g))).is_zero():
-                bad.append(g.name)
-        return bad
+    def check_d_squared(self):
+        """Generators v with d(d(v)) != 0."""
+        return [g.name for g in self.gs.gens
+                if not self.apply_d(self.d_monomial(self.gs.monomial_of(g))).is_zero()]
 
     # -- bases ---------------------------------------------------------------
 

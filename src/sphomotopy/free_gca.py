@@ -14,12 +14,24 @@ construction relies on this) without invalidating anything already built.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
+
+DEFAULT_BUDGET = 500_000
+
+
+def configured_budget() -> int:
+    raw = os.environ.get("SPHOMOTOPY_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
 
 
 class Monomial(NamedTuple):
@@ -242,9 +254,12 @@ class GeneratorSet:
             self._count_cache[degree] = counts
         return counts[degree]
 
-    def check_budget(self, degrees, budget: int):
+    def check_budget(self, degrees, budget: int | None = None):
         """Raise BudgetExceeded at the first degree with more monomials
-        than ``budget``; counts only, nothing is enumerated."""
+        than ``budget`` (default ``configured_budget()``); counts only,
+        nothing is enumerated."""
+        if budget is None:
+            budget = configured_budget()
         for deg in degrees:
             est = self.count_monomials(deg)
             if est > budget:

@@ -7,6 +7,10 @@ intersection on three even classes cut out by a triple of recursively
 defined polynomials. Everything is computed in exact rational arithmetic
 and every dimension count is cross-checked against an independent closed
 form before being trusted.
+
+The full ring is built and checked in one place, ``_full_ring``, for both
+the minimal model and the Betti numbers. Its checks read the dominant
+weight blocks only; a whole degree is row-reduced when it is first read.
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ def primitive_dimension(g: int, k: int) -> int:
     return comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
 
 
-# -- the relation subspace and the full ring ----------------------------------
+# -- the relation subspace ----------------------------------------------------
 
 
 def relation_subspace_E(g: int):
@@ -193,37 +197,6 @@ def relation_subspace_E(g: int):
 def _transplant(x: Element, gs: GeneratorSet) -> Element:
     # primitive_basis builds its own generator set with identical layout
     return Element(gs, dict(x.terms))
-
-
-def build_cohomology_algebra(g: int) -> DGA:
-    """Quotient of the free algebra by the ideal on E, degrees 0..6g-6.
-
-    Validates the expected top class, Poincaré duality and the degree-2/3
-    dimensions; failure signals a bug, not a user error.
-    """
-    if g < 2:
-        raise ValueError("the full ring needs genus >= 2")
-    gs = full_generators(g)
-    ring = DGA(gs, {}, relations=relation_subspace_E(g))
-    _check_ring_dims(g, [ring.dim(n) for n in range(6 * g - 2)])
-    return ring
-
-
-def _check_ring_dims(g: int, dims: list):
-    """The postconditions on dim A^n for n = 0..6g-3: zero above the top
-    degree 6g-6, a one-dimensional top class, the degree-2/3 dimensions
-    and Poincaré duality."""
-    top = 6 * g - 6
-    for n in range(top + 1, top + 4):
-        if dims[n] != 0:
-            raise ValidationFailure(f"nonzero dimension {dims[n]} above top degree")
-    if dims[top] != 1:
-        raise ValidationFailure(f"top degree dimension {dims[top]} != 1")
-    if dims[2] != 1 or dims[3] != 2 * g:
-        raise ValidationFailure("degree 2/3 dimensions are off")
-    for n in range(top + 1):
-        if dims[n] != dims[top - n]:
-            raise ValidationFailure(f"Poincaré duality fails at degree {n}")
 
 
 # -- Weyl symmetry of the relation ideal -----------------------------------------
@@ -354,7 +327,7 @@ def invariant_ring(g: int, check_up_to: int | None = None) -> DGA:
     return ring
 
 
-# -- Betti numbers, two ways ----------------------------------------------------
+# -- the full ring and its Betti numbers, two ways ----------------------------
 
 
 def betti_decomposition(g: int):
@@ -372,19 +345,34 @@ def betti_decomposition(g: int):
     return out
 
 
-def betti_numbers(g: int):
-    """Betti numbers computed two independent ways and cross-checked.
+def build_cohomology_algebra(g: int, budget: int | None = None) -> DGA:
+    """The full ring, certified by ``_full_ring``. A degree is row-reduced
+    in full only when it is first read."""
+    return _full_ring(g, budget)[0]
 
-    The quotient side row-reduces only the dominant weight blocks. Once
-    the relation ideal I is certified Weyl-stable, every φ_w (w ∈ W)
+
+def betti_numbers(g: int, budget: int | None = None):
+    """b_0..b_{6g-6} of the full ring, cross-checked by ``_full_ring``."""
+    return _full_ring(g, budget)[1]
+
+
+def _full_ring(g: int, budget: int | None):
+    """``(ring, betti)``: the quotient of the free algebra by the ideal on
+    E, and its Betti numbers, once every postcondition has passed.
+
+    The dimensions come from the dominant weight blocks only. Once the
+    relation ideal I is certified Weyl-stable, every φ_w (w ∈ W)
     preserves I and maps the weight-μ block of the free algebra onto the
     weight-wμ block up to signs, so dim A^n_μ = dim A^n_{wμ} and
     dim A^n = Σ over the weights μ of the free degree-n basis of
-    dim A^n_{dominant rep of μ}.
+    dim A^n_{dominant rep of μ}. Failure signals a bug, not a user error.
     """
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
     gs = full_generators(g)
+    # the checks enumerate the free bases through degree 6g-3: refuse
+    # before forming products
+    gs.check_budget(range(6 * g - 2), budget)
     ring = DGA(gs, {}, relations=relation_subspace_E(g))
     _certify_weyl_stable(ring, g)
     dims = []
@@ -399,4 +387,21 @@ def betti_numbers(g: int):
         raise ValidationFailure(
             f"Betti cross-check failed: quotient {betti} vs "
             f"decomposition {formula}")
-    return betti
+    return ring, betti
+
+
+def _check_ring_dims(g: int, dims: list):
+    """The postconditions on dim A^n for n = 0..6g-3: zero above the top
+    degree 6g-6, a one-dimensional top class, the degree-2/3 dimensions
+    and Poincaré duality."""
+    top = 6 * g - 6
+    for n in range(top + 1, top + 4):
+        if dims[n] != 0:
+            raise ValidationFailure(f"nonzero dimension {dims[n]} above top degree")
+    if dims[top] != 1:
+        raise ValidationFailure(f"top degree dimension {dims[top]} != 1")
+    if dims[2] != 1 or dims[3] != 2 * g:
+        raise ValidationFailure("degree 2/3 dimensions are off")
+    for n in range(top + 1):
+        if dims[n] != dims[top - n]:
+            raise ValidationFailure(f"Poincaré duality fails at degree {n}")

@@ -42,7 +42,6 @@ the stage decompositions are choice-independent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,18 +50,7 @@ from . import moduli, sp_characters
 from .dga import DGA
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
-from .free_gca import ONE, Element, GeneratorSet, Monomial
-
-DEFAULT_BUDGET = 500_000
-
-
-def configured_budget() -> int:
-    raw = os.environ.get("SPHOMOTOPY_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
+from .free_gca import ONE, Element, GeneratorSet, Monomial, configured_budget
 
 
 @dataclass
@@ -398,8 +386,8 @@ def build(target: DGA, max_degree: int,
 # -- named targets -------------------------------------------------------------
 
 
-def moduli_target(g: int) -> DGA:
-    return moduli.build_cohomology_algebra(g)
+def moduli_target(g: int, budget: int | None = None) -> DGA:
+    return moduli.build_cohomology_algebra(g, budget)
 
 
 def invariant_target(g: int, check_up_to: int | None = None) -> DGA:

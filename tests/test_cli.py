@@ -15,11 +15,11 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SRC_DIR = os.path.dirname(os.path.dirname(sphomotopy.__file__))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sphomotopy", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -112,6 +112,18 @@ def test_betti_budget_exceeded_clean_error():
     res = run_cli("betti", "--genus", "4", "--budget", "100")
     assert res.returncode == 1
     assert "budget exceeded at degree" in res.stderr
+
+
+def test_model_ring_budget_exceeded_clean_error():
+    # the full ring's checks enumerate through degree 6g-3 = 39, so the
+    # budget refuses before the ring is built, however low --max-degree is
+    res = run_cli("minimal-model", "--genus", "7", "--max-degree", "3",
+                  "--budget", "1000", timeout=30)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: monomial budget exceeded")
+    assert res.stdout == ""
 
 
 def test_relations_budget_exceeded_clean_error():

@@ -46,7 +46,7 @@ def test_invariant_model_differential():
                  "f2": Element(gs, dict(q.q2.terms)),
                  "f3": Element(gs, dict(q.q3.terms))})
     assert d.apply_d(gs.gen("f1")) == gs.gen("α") ** 2 + gs.gen("β")
-    assert d.check_d_squared(7) == []
+    assert d.check_d_squared() == []
 
 
 def test_inhomogeneous_differential_rejected():
@@ -72,11 +72,11 @@ def test_d_squared_violation_detected():
     gs = GeneratorSet(0)
     gs.add("a", 2)
     gs.add("b", 3)
-    gs.add("c", 4)
     a, b = gs.gen("a"), gs.gen("b")
-    broken = DGA(gs, {"b": a * a, "c": a * b}, check=False)
+    broken = DGA(gs, {"b": a * a})
+    # add_generator checks nothing
+    broken.add_generator("c", 4, None, a * b)
     assert broken.check_d_squared() == ["c"]
-    assert broken.check_d_squared(max_degree=3) == []
     # construction-time rejection of the same data
     gs2 = GeneratorSet(0)
     gs2.add("a", 2)
@@ -254,10 +254,11 @@ def test_coboundary_outside_cocycles_detected():
     gs = GeneratorSet(0)
     gs.add("a", 2)
     gs.add("b", 3)
-    gs.add("c", 4)
     gs.add("e", 5)
     a, b, e = gs.gen("a"), gs.gen("b"), gs.gen("e")
-    broken = DGA(gs, {"b": a * a, "c": a * b + e}, check=False)
+    broken = DGA(gs, {"b": a * a})
+    # add_generator checks nothing
+    broken.add_generator("c", 4, None, a * b + e)
     assert broken.check_d_squared() == ["c"]
     with pytest.raises(InternalInconsistency):
         broken.cohomology(5)

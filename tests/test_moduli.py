@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphomotopy import moduli
+from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA
 from sphomotopy.errors import ValidationFailure
 from sphomotopy.free_gca import Element
@@ -158,12 +158,23 @@ def _drop_relation(monkeypatch, drop):
                         lambda g: [e for i, e in enumerate(full(g)) if i != drop])
 
 
-def test_weyl_certificate_rejects_unstable_relations(monkeypatch):
+@pytest.mark.parametrize("build", [moduli.betti_numbers,
+                                   moduli.build_cohomology_algebra])
+def test_weyl_certificate_rejects_unstable_relations(monkeypatch, build):
     # E[2] is the genus-2 lead relation times γ4, the first vector of the
     # first primitive part; s_1 maps the relation on γ5 to it
     _drop_relation(monkeypatch, 2)
     with pytest.raises(ValidationFailure, match="^Weyl certificate failed"):
-        moduli.betti_numbers(3)
+        build(3)
+
+
+def test_model_reads_only_the_degrees_it_needs():
+    """The ring's checks row-reduce dominant blocks only; a whole degree is
+    row-reduced when the model first reads it."""
+    target = sullivan.moduli_target(4)
+    sullivan.build(target, 6)
+    assert target._quot_cache
+    assert max(target._quot_cache) <= 7
 
 
 def test_relations_die_in_quotient():
