@@ -20,7 +20,7 @@ only at the API edge (``d_monomial``, ``apply_d``, cohomology
 representatives on request).
 
 A quotient keeps one record per degree, read off the row-reduced span of
-the relations in that degree and built when the degree is first read. Every relation has one degree and one
+the relations in that degree. Every relation has one degree and one
 weight, so that span splits into (degree, weight) blocks, and each block
 is row-reduced on its own. The record holds each block's canonical
 monomial transversal (the non-pivot monomials) and, for each pivot
@@ -28,6 +28,7 @@ monomial, its reduced form over the transversal. Reduction replaces each
 pivot monomial by its form, in one pass; multiplication is
 multiply-then-reduce, which is well defined because the relations are
 homogeneous.
+A degree's record is built when the degree is first read.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ defined polynomials. Everything is computed in exact rational arithmetic
 and every dimension count is cross-checked against an independent closed
 form before being trusted.
 
-The full ring is built and checked in one place, ``_full_ring``, for both
-the minimal model and the Betti numbers. Its checks read the dominant
-weight blocks only; a whole degree is row-reduced when it is first read.
+The full ring is built and checked once, in ``_full_ring``, for the model
+and the Betti numbers alike; a whole degree is row-reduced when first read.
 """
 
 from __future__ import annotations
