@@ -50,9 +50,11 @@ class CohomologyBlock:
     (degree, weight) block.
 
     ``coboundary_vectors`` and ``representative_vectors`` are sparse
-    ``{position: Fraction}`` vectors over ``monomials``; ``coboundaries``
-    and ``representatives`` are the same as ``Element``s, built on first
-    use. ``coordinates`` gives each coboundary in the canonical basis of
+    ``{position: rational}`` vectors over ``monomials``; the coboundary
+    vectors are independent and span the coboundaries, as pivot columns
+    of d or as RREF rows (see ``DGA.cohomology``). ``coboundaries`` and
+    ``representatives`` are the same as ``Element``s, built on first use.
+    ``coordinates`` gives each coboundary vector in the canonical basis of
     the cocycles, and ``positions`` says which cocycle basis vector each
     representative is.
     """
@@ -94,9 +96,13 @@ class DGA:
         # generator index, resp. monomial -> d as (den, {monomial: int})
         self._d_gen: dict[int, tuple] = {g.index: _NO_D for g in gs.gens}
         self._d_cache: dict = {ONE: _NO_D}
+        # one object per monomial that occurs as a term of some d(m)
+        self._terms: dict = {}
         self._dmat_cache: dict = {}
         # degree -> (by_weight, pivots), see _quotient_data
         self._quot_cache: dict = {}
+        # (n, weight) -> (source length, pivot columns) of the d(n) block
+        self._d_pivots: dict = {}
         for name, img in (differential or {}).items():
             g = gs[name]
             if not img.is_zero():
@@ -156,7 +162,9 @@ class DGA:
 
         Leibniz on the last factor: m = rest·g with g the last odd
         generator, or the last even one if m has no odd factor, and
-        d(rest·g) = d(rest)·g + (-1)^|rest| rest·d(g).
+        d(rest·g) = d(rest)·g + (-1)^|rest| rest·d(g). The terms are
+        interned: many d(m) share a term, and a term's odd mask can be
+        thousands of bits long.
         """
         cached = self._d_cache.get(m)
         if cached is not None:
@@ -179,6 +187,7 @@ class DGA:
             return _NO_D
         den = lcm(den_r, den_g)
         mul = gs.mul_monomials
+        term = self._terms.setdefault
         out = {}
         if t_r:
             # t ↦ t·g is injective where it does not vanish
@@ -187,12 +196,13 @@ class DGA:
             for t, c in t_r.items():
                 sign, mm = mul(t, gm)
                 if sign:
-                    out[mm] = sign * s * c
+                    out[term(mm, mm)] = sign * s * c
         if t_g:
             s = sign_g * (den // den_g)
             for t, c in t_g.items():
                 sign, mm = mul(rest, t)
                 if sign:
+                    mm = term(mm, mm)
                     v = out.get(mm, 0) + sign * s * c
                     if v:
                         out[mm] = v
@@ -418,19 +428,18 @@ class DGA:
 
     def _coboundary_rows(self, n: int, w, src) -> list:
         """The columns of d: n-1 -> n in the block, as integer rows over
-        the positions of ``src``, the block's degree-n basis."""
+        the positions of ``src``, the block's degree-n basis; a zero column
+        gives ``((), ())``."""
         index = {m: i for i, m in enumerate(src)}
         d_int = self._d_int
         out = []
         for m in self.basis(n - 1, w):
-            terms = d_int(m)[1]
-            if terms:
-                try:
-                    row = sorted((index[mm], c) for mm, c in terms.items())
-                except KeyError:
-                    raise InternalInconsistency(
-                        "differential left the (degree, weight) block") from None
-                out.append(tuple(zip(*row)))
+            try:
+                row = sorted((index[mm], c) for mm, c in d_int(m)[1].items())
+            except KeyError:
+                raise InternalInconsistency(
+                    "differential left the (degree, weight) block") from None
+            out.append(tuple(zip(*row)) if row else ((), ()))
         return out
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
@@ -439,19 +448,34 @@ class DGA:
         The cocycles get the canonical kernel basis z_k of d(n): z_k is 1
         at its free column f_k, which is its last nonzero entry, and 0 at
         the other free columns. A cocycle b is therefore Σ_k b[f_k]·z_k.
-        The coboundaries are the RREF rows of the image of d(n-1), and the
-        representatives are the z_k at the non-pivot positions of the
-        coboundaries' coordinates, so the choice is reproducible and,
-        blockwise, weight-pure.
+        The coboundaries are independent vectors that span the image of
+        d(n-1): its pivot columns, cleared of denominators, when the
+        elimination of d(n-1) on the same source is on record, else the
+        RREF rows of its image. The representatives are the z_k at the
+        non-pivot positions of the RREF of the coboundaries' coordinates,
+        which depends only on their span, so the choice is reproducible
+        and, blockwise, weight-pure.
+
+        The pivot columns of an RREF are its leftmost independent columns.
+        A generator adjoined since the record was made adds no source
+        monomial if the source length is unchanged, and d of the old
+        sources is as it was, so those columns are still the leftmost
+        independent ones.
         """
         w = tuple(weight) if weight is not None else None
         src, up_rows = self._d_rows(n, w)
-        z_vecs = ela._kernel_vectors(*ela._echelon_rows(up_rows), len(src))
+        pivots, rref = ela._echelon_rows(up_rows)
+        self._d_pivots[n, w] = (len(src), pivots)
+        z_vecs = ela._kernel_vectors(pivots, rref, len(src))
         b_in = self._coboundary_rows(n, w, src) if n > 0 else []
         # B ⊆ Z: d(n) kills every column of d(n-1)
         if b_in and not ela._kills(up_rows, b_in):
             raise InternalInconsistency("coboundaries do not lie in cocycles")
-        _, b_rows = ela._echelon_rows(b_in)
+        record = self._d_pivots.get((n - 1, w))
+        if record is not None and record[0] == len(b_in):
+            b_rows = [dict(zip(*b_in[p])) for p in record[1]]
+        else:
+            b_rows = ela._echelon_rows(b_in)[1]
         free = [max(z) for z in z_vecs]
         coords = [{k: b[f] for k, f in enumerate(free) if f in b}
                   for b in b_rows]

@@ -8,8 +8,9 @@ rule: moving an odd generator past k odd generators contributes (-1)^k,
 and odd squares vanish.
 
 Monomials are value objects independent of later generator additions, so
-a generator set may be extended append-only (the degreewise model
-construction relies on this) without invalidating anything already built.
+a generator set grows append-only (the degreewise model construction
+relies on this). A degree's basis is built once and extended, not
+rebuilt, when generators are added: each monomial is made exactly once.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ class GeneratorSet:
         self.even: list[Generator] = []
         self.odd: list[Generator] = []
         self._by_name: dict[str, Generator] = {}
-        self._basis_cache: dict = {}
+        zero = (0,) * weight_len
+        # degree -> (generators covered, groups, view), see _built
+        self._bases: dict = {0: (0, {zero: [ONE]}, {zero: [ONE]})}
         self._count_cache: dict = {}
 
     def add(self, name: str, degree: int, weight=None) -> Generator:
@@ -109,10 +112,10 @@ class GeneratorSet:
         self.gens.append(g)
         pool.append(g)
         self._by_name[name] = g
-        # degrees are positive, so only bases of degree >= g.degree change
-        for cache in (self._basis_cache, self._count_cache):
-            for k in [k for k in cache if k >= degree]:
-                del cache[k]
+        # degrees are positive, so only counts of degree >= g.degree change;
+        # the bases catch up with the new generator when next read
+        for k in [k for k in self._count_cache if k >= degree]:
+            del self._count_cache[k]
         return g
 
     def __len__(self):
@@ -166,75 +169,74 @@ class GeneratorSet:
             ev = tuple(sorted(acc.items()))
         return sign, Monomial(ev, a.odd | b.odd)
 
-    # -- enumeration -----------------------------------------------------
+    # -- bases -----------------------------------------------------------
 
     def basis(self, degree: int, weight=None) -> list[Monomial]:
         """All monomials of the exact degree (and weight), canonical order."""
-        if degree < 0:
-            return []
         by_w = self.basis_by_weight(degree)
         if weight is None:
-            out = []
-            for w in sorted(by_w):
-                out.extend(by_w[w])
-            return out
+            return [m for w in sorted(by_w) for m in by_w[w]]
         return list(by_w.get(tuple(weight), ()))
 
     def basis_by_weight(self, degree: int) -> dict:
-        cached = self._basis_cache.get(degree)
-        if cached is None:
-            groups = self._enumerate(degree)
-            for ms in groups.values():
-                ms.sort()
-            # the sorted basis, grouped by weight in order of first appearance
-            cached = dict(sorted(groups.items(), key=lambda kv: kv[1][0]))
-            self._basis_cache[degree] = cached
-        return cached
+        """{weight: sorted monomials}, weights in the order of their first
+        monomial. The dict and its lists never change; ``add`` makes new ones."""
+        return self._built(degree)[2]
 
-    def _enumerate(self, degree: int) -> dict:
-        """{weight: monomials} of the exact degree, unordered."""
-        # iterative: each state picks the next included generator, so the
-        # stack depth is the word length, not the generator count; the
-        # weight is carried along, one vector addition per state. A state
-        # is pushed only if it is complete or its next generator still fits.
-        order = sorted(self.gens, key=lambda g: (g.degree, g.index))
-        n = len(order)
-        next_deg = [g.degree for g in order[1:]] + [degree + 1]
-        out: dict = {}
-        stack = [(0, degree, ONE, (0,) * self.weight_len)]
-        while stack:
-            i, remaining, mono, w = stack.pop()
-            if remaining == 0:
-                # canonical key: exponent table in generator order, then odd mask
-                out.setdefault(w, []).append(
-                    Monomial(tuple(sorted(mono.even)), mono.odd))
-                continue
-            for j in range(i, n):
-                g = order[j]
-                d = g.degree
-                if d > remaining:
-                    break  # ascending degrees: nothing later fits either
-                fits = next_deg[j]
-                gw = g.weight
-                if g.is_odd:
-                    rem = remaining - d
-                    if rem == 0 or fits <= rem:
-                        stack.append((j + 1, rem,
-                                      Monomial(mono.even, mono.odd | (1 << g.ordinal)),
-                                      tuple(map(add, w, gw))))
-                else:
-                    e = 1
-                    we = w
-                    rem = remaining - d
-                    while rem >= 0:
-                        we = tuple(map(add, we, gw))
-                        if rem == 0 or fits <= rem:
-                            stack.append((j + 1, rem,
-                                          Monomial(mono.even + ((g.ordinal, e),),
-                                                   mono.odd), we))
-                        e += 1
-                        rem -= d
-        return out
+    def _built(self, degree: int):
+        """``(generators covered, groups, view)`` of the degree, brought up
+        to all generators, one at a time in index order.
+
+        The basis over g_0..g_k is the one over g_0..g_{k-1} plus g_k^e·m
+        for each m of degree D - e·deg(g_k) whose generators all come
+        before g_k (e = 1 for odd g_k), so every monomial is made once.
+        ``groups`` keeps each weight's monomials in the order they were
+        made, which is by last generator: the m wanted for g_k are a prefix
+        of each group of the lower degree, and the groups are in the order
+        their first monomials were made, so the scan stops at the first
+        group without such an m.
+        """
+        built = self._bases.get(degree)
+        if built is not None and built[0] == len(self.gens):
+            return built
+        count, groups, view = built or (0, {}, {})
+        last = self._last_index
+        new: dict = {}
+        lowers: dict = {}  # lower degree -> its groups
+        ends: dict = {}  # (lower degree, weight) -> length of the prefix
+        for k in range(count, len(self.gens)):
+            g = self.gens[k]
+            d, odd = g.degree, g.degree % 2
+            for e in range(1, min(degree // d, 1 if odd else degree) + 1):
+                low = degree - e * d
+                lower = lowers.get(low)
+                if lower is None:
+                    lower = lowers[low] = self._built(low)[1]
+                shift = [e * c for c in g.weight]
+                bit, tail = 1 << g.ordinal, ((g.ordinal, e),)
+                for w, ms in lower.items():
+                    if last(ms[0]) >= k:
+                        break
+                    p = ends.get((low, w), 1)
+                    while p < len(ms) and last(ms[p]) < k:
+                        p += 1
+                    ends[low, w] = p
+                    new.setdefault(tuple(map(add, w, shift)), []).extend(
+                        [Monomial(m.even, m.odd | bit) for m in ms[:p]] if odd
+                        else [Monomial(m.even + tail, m.odd) for m in ms[:p]])
+        for w, ms in new.items():
+            groups.setdefault(w, []).extend(ms)  # groups are never handed out
+            new[w] = sorted(view.get(w, []) + ms)
+        if new:
+            view = dict(sorted({**view, **new}.items(), key=lambda kv: kv[1][0]))
+        built = (len(self.gens), groups, view)
+        self._bases[degree] = built
+        return built
+
+    def _last_index(self, m: Monomial) -> int:
+        """Index of the last generator in m; -1 for ONE."""
+        return max(self.even[m.even[-1][0]].index if m.even else -1,
+                   self.odd[m.odd.bit_length() - 1].index if m.odd else -1)
 
     def count_monomials(self, degree: int) -> int:
         """Monomial count by series coefficients; no enumeration."""
@@ -243,8 +245,6 @@ class GeneratorSet:
             counts = [1] + [0] * degree
             for g in self.gens:
                 d = g.degree
-                if d > degree:
-                    continue
                 if g.is_odd:
                     for i in range(degree, d - 1, -1):
                         counts[i] += counts[i - d]

@@ -247,6 +247,53 @@ def test_coboundary_coordinates_read_off_free_columns():
     assert checked > 50
 
 
+def test_coboundaries_from_recorded_pivot_columns():
+    """A block whose d(n-1) elimination is on record takes its coboundaries
+    from the pivot columns; recomputing it with the record cleared, by
+    eliminating the image, gives the same representatives, the same
+    positions and the same span of coboundaries."""
+    dga = sullivan.build(sullivan.moduli_target(2), 8).dga
+    reused = fallback = 0
+    for n in range(10):
+        for w in sorted(dga.gs.basis_by_weight(n)):
+            record = dga._d_pivots.get((n - 1, w))
+            blk = dga.cohomology(n, w)
+            if record is None or record[0] != len(dga.basis(n - 1, w)):
+                fallback += 1
+                continue
+            reused += 1
+            del dga._d_pivots[n - 1, w]
+            ref = dga.cohomology(n, w)
+            dga._d_pivots[n - 1, w] = record
+            assert blk.positions == ref.positions, (n, w)
+            assert blk.representative_vectors == ref.representative_vectors, (n, w)
+            # one span has one RREF, and each set is independent
+            span = ela._echelon_rows(ela._int_rows(blk.coboundary_vectors))
+            assert span == ela._echelon_rows(ela._int_rows(ref.coboundary_vectors))
+            assert len(span[0]) == len(blk.coboundary_vectors) \
+                == len(ref.coboundary_vectors)
+    assert reused > 30 and fallback > 0
+
+
+def test_pivot_record_of_a_grown_source_is_not_used():
+    """A generator that adds a source monomial to d(4) leaves its recorded
+    pivot columns stale: H^5 comes out as if nothing had been recorded."""
+    def algebra(record_first):
+        gs = GeneratorSet(0)
+        for name, degree in (("x", 2), ("y", 3), ("z", 3)):
+            gs.add(name, degree)
+        x, z = gs.gen("x"), gs.gen("z")
+        dga = DGA(gs, {"y": x * x})
+        if record_first:
+            dga.cohomology(4)  # records d(4) on the source [x²]
+        dga.add_generator("v", 4, None, x * z)
+        return dga
+
+    grown, ref = algebra(True).cohomology(5), algebra(False).cohomology(5)
+    assert grown.dim == ref.dim == 0  # d(v) = x·z, and x·y is not closed
+    assert grown.coboundary_vectors == ref.coboundary_vectors == [{1: 1}]
+
+
 def test_coboundary_outside_cocycles_detected():
     # d(b) = a² and d(c) = a·b + e give d(d(c)) = a³, so the coboundary
     # a·b + e of degree 5 is not a cocycle; it still has the nonzero

@@ -178,6 +178,36 @@ def _reference_by_weight(gs, degree):
     return by_w
 
 
+def test_bases_extend_across_interleaved_adds():
+    """Reads and adds interleaved: each read equals the plain recursion,
+    and a dict or list handed out before an ``add`` is left as it was."""
+    gs = fg.GeneratorSet(2)
+    gs.add("a", 2, (0, 0))
+    gs.add("x", 3, (1, 0))
+    handed = []
+
+    def read(degrees):
+        for d in degrees:
+            got = gs.basis_by_weight(d)
+            assert list(got.items()) == list(_reference_by_weight(gs, d).items()), d
+            handed.append((got, [(w, list(ms)) for w, ms in got.items()]))
+        for got, seen in handed:
+            assert [(w, list(ms)) for w, ms in got.items()] == seen
+
+    read([0, 3, 6, 7])
+    gs.add("y", 3, (-1, 0))  # odd, the degree of x
+    gs.add("b", 4, (0, 1))
+    read([12, 5, 6, 2])  # a high degree first: it builds what it needs
+    gs.add("z", 3, (1, 0))  # odd, the degree and weight of x
+    gs.add("u", 5, (1, 1))
+    gs.add("c", 2, (1, -1))  # even, out of degree order
+    read(range(13))
+    gs.add("v", 7, (0, 0))
+    gs.add("e", 4, (0, 1))  # even, the degree and weight of b
+    read(range(15))
+    assert gs.count_monomials(14) == len(gs.basis(14))
+
+
 def _model_generators():
     # the full ring's even generators have weight zero; a model's do not
     from sphomotopy import sullivan
