@@ -9,8 +9,9 @@ Subcommands:
 * ``verify``         golden verification suites; exit code 0 iff PASS.
 
 ``--budget`` caps the number of monomials any single degree may
-enumerate (default from SPHOMOTOPY_BUDGET, else 500000). A verify suite
-with no checks in the requested range fails.
+enumerate (default from SPHOMOTOPY_BUDGET, else 500000); a budget below
+1, from either source, is an error. A verify suite with no checks in the
+requested range fails.
 """
 
 from __future__ import annotations
@@ -297,6 +298,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.budget is not None and args.budget < 1:
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except (SphomotopyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

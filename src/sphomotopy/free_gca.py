@@ -29,10 +29,13 @@ DEFAULT_BUDGET = 500_000
 def configured_budget() -> int:
     raw = os.environ.get("SPHOMOTOPY_BUDGET", str(DEFAULT_BUDGET))
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(
             f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"SPHOMOTOPY_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 class Monomial(NamedTuple):

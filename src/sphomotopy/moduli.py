@@ -10,6 +10,14 @@ form before being trusted.
 
 The full ring is built and checked once, in ``_full_ring``, for the model
 and the Betti numbers alike; a whole degree is row-reduced when first read.
+The checks row-reduce only the dominant weight blocks of the relation
+ideal I. Through degree 3g a block's rows are the products r·m of the
+relations with cofactors. E lies in degrees 2g..3g, so above 3g every
+cofactor is divisible by a generator x and I^n_w = Σ_x x·I^{n-deg x}_u
+with u = w - weight(x). The certified Weyl symmetry φ_u maps the
+dominant block I_{rep(u)} onto I_u, so the block is spanned by the
+products x·φ_u(ρ) over the RREF rows ρ of the lower dominant blocks; RREF
+is unique, so it does not depend on which spanning rows go in.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import sub
 
 from . import exact_linalg as ela
 from .dga import DGA
@@ -239,6 +248,32 @@ def _permute_odd(perm: list, mask: int):
     return sign, sum(1 << o for o in images)
 
 
+def _signed_permutation(u) -> list:
+    """φ_u, the signed permutation of the odd classes that takes the
+    dominant representative rep(u) of the weight u to u, in the form of
+    ``_coxeter_generators``.
+
+    φ_u is a permutation π of 1..g with |u_{π(i)}| = rep(u)_i, applied to
+    both halves (γ_i -> γ_{π(i)}, γ_{i+g} -> γ_{π(i)+g}), followed by the
+    flip γ_j -> γ_{j+g}, γ_{j+g} -> -γ_j at each j with u_j < 0. On
+    weights, L_i goes to ±L_{π(i)} with the sign of u_{π(i)}, so the
+    weight-rep(u) monomials go to weight-u ones. π is a product of
+    s_1..s_{g-1}, and the flip at j is s_g conjugated by the permutation
+    swapping j and g, so φ_u lies in the group of the Coxeter generators:
+    it preserves ω = Σ γ_i γ_{i+g}, fixes α and β, and maps I onto I once
+    ``_certify_weyl_stable`` has passed.
+    """
+    g = len(u)
+    perm = [None] * (2 * g)
+    # a stable sort: π is the identity where u is dominant
+    for i, j in enumerate(sorted(range(g), key=lambda j: -abs(u[j]))):
+        if u[j] < 0:
+            perm[i], perm[i + g] = (j + g, 1), (j, -1)
+        else:
+            perm[i], perm[i + g] = (j, 1), (j + g, 1)
+    return perm
+
+
 def _certify_weyl_stable(ring: DGA, g: int):
     """Raise unless each Coxeter generator maps the span of the relations
     into itself.
@@ -365,6 +400,16 @@ def _full_ring(g: int, budget: int | None):
     weight-wμ block up to signs, so dim A^n_μ = dim A^n_{wμ} and
     dim A^n = Σ over the weights μ of the free degree-n basis of
     dim A^n_{dominant rep of μ}. Failure signals a bug, not a user error.
+
+    The dominant blocks of I come from ``_dominant_blocks``. E lies in
+    degrees 2g..3g, so for n > 3g every product e·m (e ∈ E) has a cofactor
+    m of positive degree, m = ±x·m' for a generator x, and e·m = ±x·(e·m')
+    lies in x·I^{n-deg x}: I^n = Σ_x x·I^{n-deg x}, and weight by weight
+    I^n_w = Σ_x x·I^{n-deg x}_u with u = w - weight(x). The certificate
+    runs first, and φ_u (``_signed_permutation``) is a product of the
+    Coxeter generators it certifies, so φ_u(I^k_{rep(u)}) = I^k_u. The rows
+    x·φ_u(ρ), ρ over the RREF rows of I^{n-deg x}_{rep(u)}, therefore span
+    I^n_w, and the RREF, being unique, is the one of all products r·m.
     """
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
@@ -374,10 +419,11 @@ def _full_ring(g: int, budget: int | None):
     gs.check_budget(range(6 * g - 2), budget)
     ring = DGA(gs, {}, relations=relation_subspace_E(g))
     _certify_weyl_stable(ring, g)
+    blocks = _dominant_blocks(ring, g)
     dims = []
     for n in range(6 * g - 2):
         reps = Counter(_dominant_orbit_rep(w) for w in gs.basis_by_weight(n))
-        dims.append(sum(k * len(ring._quotient_block(n, rep)[0])
+        dims.append(sum(k * (len(blocks[n, rep][0]) - len(blocks[n, rep][1]))
                         for rep, k in reps.items()))
     _check_ring_dims(g, dims)
     betti = dims[:6 * g - 5]
@@ -387,6 +433,75 @@ def _full_ring(g: int, budget: int | None):
             f"Betti cross-check failed: quotient {betti} vs "
             f"decomposition {formula}")
     return ring, betti
+
+
+def _dominant_blocks(ring: DGA, g: int) -> dict:
+    """``{(n, w): (monos, pivot_cols, rows)}`` for each dominant weight w
+    of the free degree-n basis, n = 0..6g-3: the block's free monomials,
+    and the pivot columns and rows of the RREF of I^n_w, each row as
+    integer ``(cols, nums)`` cleared of its denominators.
+
+    Through degree 3g a block comes from ``ring._quotient_block``. Above
+    it, its rows are x·φ_u(ρ) for each generator x, u = w - weight(x), and
+    ρ the RREF rows of the block (n - deg x, rep(u)), which is dominant and
+    built already; see ``_full_ring`` for why they span I^n_w. Both
+    x·(-) and φ_u are injective on monomials where the product does not
+    vanish, so a row's terms map term by term without summing.
+    """
+    gs = ring.gs
+    mul = gs.mul_monomials
+    gens = [(gs.monomial_of(x), x.degree, x.weight) for x in gs.gens]
+    blocks: dict = {}
+    for n in range(6 * g - 2):
+        for w, monos in gs.basis_by_weight(n).items():
+            if w != _dominant_orbit_rep(w):
+                continue
+            index = {m: i for i, m in enumerate(monos)}
+            if n <= 3 * g:
+                _, forms = ring._quotient_block(n, w)
+                pivot_cols = [index[p] for p in forms]
+                rows = []
+                for p, form in forms.items():
+                    den, nums = ela._cleared(form)
+                    row = sorted([(index[p], den)]
+                                 + [(index[t], -v) for t, v in nums.items()])
+                    rows.append(tuple(zip(*row)))
+                blocks[n, w] = (monos, pivot_cols, rows)
+                continue
+            products = []
+            for xm, dx, wx in gens:
+                u = tuple(map(sub, w, wx))
+                low = blocks.get((n - dx, _dominant_orbit_rep(u)))
+                if low is None or not low[2]:
+                    continue
+                perm = _signed_permutation(u)
+                moved: dict = {}  # odd mask -> (sign, mask) under φ_u
+                images = []  # lower column -> (sign, column) of x·φ_u
+                for m in low[0]:
+                    if m.odd not in moved:
+                        moved[m.odd] = _permute_odd(perm, m.odd)
+                    s, mask = moved[m.odd]
+                    sx, mm = mul(xm, Monomial(m.even, mask))
+                    images.append((s * sx, index[mm]) if sx else (0, 0))
+                for cols, nums in low[2]:
+                    row = []
+                    for c, v in zip(cols, nums):
+                        s, col = images[c]
+                        if s:
+                            row.append((col, s * v))
+                    if row:
+                        row.sort()
+                        products.append(tuple(zip(*row)))
+            pivot_cols, rref = ela._echelon_rows(products)
+            # tuples of ints: the collector untracks them, so the blocks,
+            # which live as long as this loop, do not bring a full
+            # collection forward
+            rows = []
+            for row in rref:
+                nums = ela._cleared(row)[1]
+                rows.append((tuple(nums), tuple(nums.values())))
+            blocks[n, w] = (monos, pivot_cols, rows)
+    return blocks
 
 
 def _check_ring_dims(g: int, dims: list):

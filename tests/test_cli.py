@@ -278,6 +278,23 @@ def test_non_integer_budget_variable_rejected(monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_flag_rejected(capsys, budget):
+    assert cli.main(["betti", "--genus", "2", "--budget", budget]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_variable_rejected(monkeypatch, capsys, budget):
+    monkeypatch.setenv("SPHOMOTOPY_BUDGET", budget)
+    assert cli.main(["betti", "--genus", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: SPHOMOTOPY_BUDGET must be at least 1, got {budget}\n"
+
+
 def test_golden_model_dump():
     """The genus-2 dump must match the stored golden file byte for byte
     (names, weights, differentials and structure-map images included)."""

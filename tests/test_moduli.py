@@ -5,7 +5,7 @@ import pytest
 from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA
 from sphomotopy.errors import ValidationFailure
-from sphomotopy.free_gca import Element
+from sphomotopy.free_gca import Element, Monomial
 from sphomotopy.sp_characters import _dominant_orbit_rep
 
 import relation_reference
@@ -149,6 +149,68 @@ def test_dominant_blocks_match_full_ring(g):
         for w in ring.gs.basis_by_weight(n):
             rep = _dominant_orbit_rep(w)
             assert len(by_weight.get(w, ())) == len(by_weight.get(rep, ())), (n, w)
+
+
+def _forms(monos, pivot_cols, rows):
+    """``(transversal, pivots)`` in the form of ``DGA._quotient_block`` from
+    a block of ``moduli._dominant_blocks``."""
+    pivots = {}
+    for p, (cols, nums) in zip(pivot_cols, rows):
+        assert cols[0] == p
+        pivots[monos[p]] = {monos[c]: -Fraction(v, nums[0])
+                            for c, v in zip(cols[1:], nums[1:])}
+    pivot_set = set(pivot_cols)
+    return [m for i, m in enumerate(monos) if i not in pivot_set], pivots
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_dominant_blocks_above_3g_match_all_products(g):
+    """Above degree 3g a dominant block is row-reduced from generator
+    multiples of lower RREF rows moved by φ_u; it has the transversal and
+    the pivot forms of the block built from every product r·m."""
+    ring = moduli.build_cohomology_algebra(g)
+    gs = ring.gs
+    blocks = moduli._dominant_blocks(ring, g)
+    flipped = permuted = False
+    for (n, w), block in blocks.items():
+        assert w == _dominant_orbit_rep(w)
+        if n <= 3 * g:
+            continue
+        assert _forms(*block) == ring._quotient_block(n, w), (n, w)
+        for x in gs.gens:
+            u = tuple(a - b for a, b in zip(w, x.weight))
+            if (n - x.degree, _dominant_orbit_rep(u)) not in blocks:
+                continue
+            flipped |= min(u) < 0
+            perm = moduli._signed_permutation(u)
+            permuted |= any(o % g != i % g for i, (o, _) in enumerate(perm))
+    assert flipped and permuted
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_signed_permutation_moves_rep_to_weight(g):
+    """For every weight u of the free algebra through degree 6g-3, φ_u maps
+    each monomial of weight rep(u) to one of weight u, preserves
+    ω = Σ γ_i γ_{i+g} and fixes α and β."""
+    gs = moduli.full_generators(g)
+    omega = moduli.symplectic_form_element(gs, g)
+    weights = {w for n in range(6 * g - 2) for w in gs.basis_by_weight(n)}
+    for u in weights:
+        perm = moduli._signed_permutation(u)
+        rep = _dominant_orbit_rep(u)
+        for n in range(6 * g - 2):
+            for m in gs.basis_by_weight(n).get(rep, ()):
+                sign, mask = moduli._permute_odd(perm, m.odd)
+                assert sign in (1, -1)
+                assert gs.weight(Monomial(m.even, mask)) == u, (u, m)
+        image = {}
+        for m, c in omega.terms.items():
+            sign, mask = moduli._permute_odd(perm, m.odd)
+            image[Monomial(m.even, mask)] = sign * c
+        assert image == omega.terms, u
+        for name in ("α", "β"):
+            m = gs.monomial_of(name)
+            assert moduli._permute_odd(perm, m.odd) == (1, m.odd)
 
 
 def _drop_relation(monkeypatch, drop):
