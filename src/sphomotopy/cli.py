@@ -26,7 +26,7 @@ from .errors import SphomotopyError
 
 def cmd_betti(args) -> int:
     if args.genus < 2:
-        raise SystemExit("betti: the full ring needs --genus >= 2")
+        raise ValueError("betti: the full ring needs --genus >= 2")
     # raises on a mismatch between the two paths
     betti = moduli.betti_numbers(args.genus, args.budget)
     if args.format == "json":
@@ -69,7 +69,7 @@ def cmd_relations(args) -> int:
 def _build_model(args) -> sullivan.MinimalModel:
     if args.target == "invariant":
         if args.genus < 1:
-            raise SystemExit("invariant target needs --genus >= 1")
+            raise ValueError("invariant target needs --genus >= 1")
         if args.genus == 1:
             # trivial invariant ring: the degreewise construction returns
             # the (empty) honest model
@@ -77,7 +77,7 @@ def _build_model(args) -> sullivan.MinimalModel:
             return sullivan.build(target, args.max_degree, args.budget)
         return sullivan.invariant_model(args.genus, args.max_degree, args.budget)
     if args.genus < 2:
-        raise SystemExit("full target needs --genus >= 2")
+        raise ValueError("full target needs --genus >= 2")
     target = sullivan.moduli_target(args.genus, args.budget)
     return sullivan.build(target, args.max_degree, args.budget)
 

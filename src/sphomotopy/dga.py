@@ -12,12 +12,14 @@ Two flavours share the class:
 
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from it with the Leibniz
-rule on the last factor, in integers, once per monomial. The blocks of d
-go to the elimination as integer rows, cleared one row (target monomial)
-at a time: RREF and the canonical kernel vectors do not change under row
-scaling, although they do under column scaling. ``Element``s are built
-only at the API edge (``d_monomial``, ``apply_d``, cohomology
-representatives on request).
+rule on the last factor, in integers, once per monomial. A block of d is
+assembled once per cohomology block and is not kept; it goes to the
+elimination as integer rows, cleared one row (target monomial) at a time:
+RREF and the canonical kernel vectors do not change under row scaling,
+although they do under column scaling. The cohomology block keeps those
+rows for the model's d²=0 check. ``Element``s are built only at the API
+edge (``d_monomial``, ``apply_d``, cohomology representatives on
+request).
 
 A quotient keeps one record per degree, read off the row-reduced span of
 the relations in that degree. Every relation has one degree and one
@@ -56,7 +58,10 @@ class CohomologyBlock:
     ``representatives`` are the same as ``Element``s, built on first use.
     ``coordinates`` gives each coboundary vector in the canonical basis of
     the cocycles, and ``positions`` says which cocycle basis vector each
-    representative is.
+    representative is. ``d_rows`` are the rows of d: n -> n+1 the cocycles
+    were computed from, as integer ``(cols, nums)`` pairs over the
+    positions of ``monomials`` (see ``DGA._d_rows``); the model checks
+    d²=0 against them.
     """
 
     degree: int
@@ -66,6 +71,7 @@ class CohomologyBlock:
     representative_vectors: list
     coordinates: list
     positions: list
+    d_rows: list
     gs: GeneratorSet
 
     @property
@@ -98,7 +104,6 @@ class DGA:
         self._d_cache: dict = {ONE: _NO_D}
         # one object per monomial that occurs as a term of some d(m)
         self._terms: dict = {}
-        self._dmat_cache: dict = {}
         # degree -> (by_weight, pivots), see _quotient_data
         self._quot_cache: dict = {}
         # (n, weight) -> (source length, pivot columns) of the d(n) block
@@ -148,10 +153,6 @@ class DGA:
         that leaves its (degree, weight) block.
         """
         g = self.gs.add(name, degree, weight)
-        # d: n -> n+1 changes only where basis n or n+1 gains monomials;
-        # the differentials of the monomials already cached stay as they are
-        for key in [k for k in self._dmat_cache if k[0] >= degree - 1]:
-            del self._dmat_cache[key]
         self._d_gen[g.index] = ela._cleared(d_image.terms)
         return g
 
@@ -279,9 +280,13 @@ class DGA:
             return cached
         by_weight = {}
         pivots = {}
-        for w in sorted(self.gs.basis_by_weight(n)):
-            transversal, forms = self._quotient_block(n, w)
-            pivots.update(forms)
+        for w, monos in sorted(self.gs.basis_by_weight(n).items()):
+            pivot_cols, rref = self._quotient_block(n, w)
+            # an RREF row is zero at the other pivot columns
+            for p, row in zip(pivot_cols, rref):
+                pivots[monos[p]] = {monos[c]: -v for c, v in row.items() if c != p}
+            pivot_set = set(pivot_cols)
+            transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
             if transversal:
                 by_weight[w] = transversal
         cached = (by_weight, pivots)
@@ -289,8 +294,9 @@ class DGA:
         return cached
 
     def _quotient_block(self, n: int, w):
-        """``(transversal, pivots)`` of the weight-w block in degree n,
-        uncached; both are empty where no degree-n monomial has weight w.
+        """``(pivot_cols, rref)`` of the relations' span in the weight-w
+        block of degree n, uncached, over the positions of the block's
+        free monomials ``gs.basis_by_weight(n)[w]``; see ``_echelon_rows``.
 
         The block's rows are the products r·m with m of weight
         w - weight(r), found by lookup in the relations grouped by
@@ -298,9 +304,7 @@ class DGA:
         """
         gs = self.gs
         mul = gs.mul_monomials
-        monos = gs.basis_by_weight(n).get(w)
-        if not monos:
-            return [], {}
+        monos = gs.basis_by_weight(n)[w]
         found = []  # (relation position, terms, cofactors)
         for dr, groups in self._rel_groups.items():
             if dr > n:
@@ -331,13 +335,7 @@ class DGA:
                 if row:
                     row.sort()
                     rows.append(tuple(zip(*row)))  # (cols, nums)
-        pivots = {}
-        pivot_cols, rref = ela._echelon_rows(rows)
-        # an RREF row is zero at the other pivot columns
-        for p, row in zip(pivot_cols, rref):
-            pivots[monos[p]] = {monos[c]: -v for c, v in row.items() if c != p}
-        pivot_set = set(pivot_cols)
-        return [m for i, m in enumerate(monos) if i not in pivot_set], pivots
+        return ela._echelon_rows(rows)
 
     def reduce(self, x: Element) -> Element:
         """Canonical form of ``x`` in the quotient (identity for free DGAs).
@@ -372,20 +370,16 @@ class DGA:
     # -- cohomology -----------------------------------------------------------
 
     def d_matrix(self, n: int, weight=None):
-        """(source basis, target basis, matrix of d: n -> n+1) in the block.
+        """(source basis, target basis, matrix of d: n -> n+1) in the block,
+        assembled on every call.
 
         Entries are exact: ``int`` where the source monomial's differential
         is integral, ``Fraction`` elsewhere.
         """
-        key = (n, tuple(weight) if weight is not None else None)
-        cached = self._dmat_cache.get(key)
-        if cached is not None:
-            return cached[:3]
         src = self.basis(n, weight)
         dst = self.basis(n + 1, weight)
         index = {m: i for i, m in enumerate(dst)}
         rows = [{} for _ in dst]
-        fractional = set()
         d_int = self._d_int
         try:
             for j, m in enumerate(src):
@@ -395,36 +389,18 @@ class DGA:
                         rows[index[mm]][j] = c
                 else:
                     for mm, c in terms.items():
-                        i = index[mm]
-                        rows[i][j] = Fraction(c, den)
-                        fractional.add(i)
+                        rows[index[mm]][j] = Fraction(c, den)
         except KeyError:
             raise InternalInconsistency(
                 "differential left the (degree, weight) block") from None
-        mat = ela.RationalMatrix(len(dst), len(src), rows)
-        self._dmat_cache[key] = (src, dst, mat, fractional)
-        return src, dst, mat
+        return src, dst, ela.RationalMatrix(len(dst), len(src), rows)
 
     def _d_rows(self, n: int, w):
-        """The source basis of ``d_matrix(n, w)`` and the matrix's rows as
-        integer ``(cols, nums)`` pairs, each cleared of its own
+        """The source basis of ``d_matrix(n, w)`` and the matrix's nonzero
+        rows as integer ``(cols, nums)`` pairs, each cleared of its own
         denominators: RREF and the kernel do not change under row scaling."""
         src, _, mat = self.d_matrix(n, w)
-        fractional = self._dmat_cache[(n, w)][3]
-        out = []
-        # the columns went in in order, so every row's keys are sorted
-        for i, row in enumerate(mat.rows):
-            if not row:
-                continue
-            if i in fractional:
-                row = ela._cleared(row)[1]
-            out.append((list(row), list(row.values())))
-        return src, out
-
-    def kills(self, n: int, w, vectors) -> bool:
-        """Whether d: n -> n+1 maps each of ``vectors`` to zero; they are
-        integer ``(cols, nums)`` pairs over the positions of ``basis(n, w)``."""
-        return ela._kills(self._d_rows(n, w)[1], vectors)
+        return src, ela._int_rows(mat.rows)
 
     def _coboundary_rows(self, n: int, w, src) -> list:
         """The columns of d: n-1 -> n in the block, as integer rows over
@@ -491,5 +467,6 @@ class DGA:
             representative_vectors=[z_vecs[k] for k in reps_idx],
             coordinates=coords,
             positions=reps_idx,
+            d_rows=up_rows,
             gs=self.gs,
         )

@@ -6,13 +6,15 @@ all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
 Rows, columns and vectors are sparse ``{index: Fraction}`` dicts without
-zero entries (``int`` values are rationals too), in and out: a matrix is
-one such dict per row, and kernel vectors come back in the same form.
-The elimination itself runs on private integer-cleared ``(cols, nums)``
-rows and divides by the pivot only when it emits the result; ``dga``,
-which assembles its differentials in integers, hands such rows to it
-directly. Only the preimage solver, which the benchmark tracer still
-wraps, takes and returns dense vectors.
+zero entries (``int`` values are rationals too), in and out: ``rank``
+takes a list of vectors, ``kernel_basis`` the list of a matrix's columns,
+and kernel vectors come back in the same form. The elimination itself,
+``_echelon_rows``, is the only one; it runs on private integer-cleared
+``(cols, nums)`` rows and divides by the pivot only when it emits the
+result. ``dga``, which assembles its differentials in integers, hands
+such rows to it directly. ``RationalMatrix`` and the preimage solver,
+which takes and returns dense vectors, are kept only for the benchmark's
+layer tracer.
 """
 
 from __future__ import annotations
@@ -28,55 +30,20 @@ _ONE = Fraction(1)
 
 
 class RationalMatrix:
-    """Sparse matrix with exact rational entries, acting on column vectors."""
+    """Sparse rows with exact rational entries: the d-block record that
+    ``dga.DGA.d_matrix`` returns and the left side of ``preimage_many``.
+
+    Nothing in the package computes with it; it is kept only because the
+    benchmark's layer tracer reads ``rows`` and ``ncols`` from the
+    ``d_matrix`` result and wraps ``preimage_many``.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows=None):
+    def __init__(self, nrows: int, ncols: int, rows):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows if rows is not None else [{} for _ in range(nrows)]
-
-    @classmethod
-    def from_rows(cls, rows, ncols: int):
-        rows = [{c: v for c, v in r.items() if v} for r in rows]
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
-    def from_columns(cls, columns, nrows: int):
-        rows = [{} for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    rows[i][j] = v
-        return cls(nrows, len(columns), rows)
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, [{i: _ONE} for i in range(n)])
-
-    def to_dense(self):
-        return [
-            [self.rows[i].get(j, _ZERO) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector, as a sparse vector."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = sum(v * vec[c] for c, v in row.items() if c in vec)
-            if s:
-                out[i] = s
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        self.rows = rows
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
@@ -90,7 +57,7 @@ def _int_rows(rows):
         if not cols:
             continue
         den = lcm(*(row[c].denominator for c in cols))
-        nums = [int(row[c] * den) for c in cols]
+        nums = [row[c].numerator * (den // row[c].denominator) for c in cols]
         out.append((cols, nums))
     return out
 
@@ -209,27 +176,24 @@ def _echelon_rows(int_rows):
     return pivot_cols, out
 
 
-def rref(m: RationalMatrix):
-    """Reduced row echelon form and its pivot columns.
-
-    Zero rows are dropped from the result; ``len(pivots)`` is the rank.
-    """
-    pivots, rows = _echelon_rows(_int_rows(m.rows))
-    return RationalMatrix(len(rows), m.ncols, rows), pivots
+def rank(vectors) -> int:
+    """Dimension of the span of the sparse ``vectors``."""
+    return len(_echelon_rows(_int_rows(vectors))[0])
 
 
-def rank(m: RationalMatrix) -> int:
-    return len(_echelon_rows(_int_rows(m.rows))[0])
-
-
-def kernel_basis(m: RationalMatrix):
-    """Canonical null-space basis: one sparse vector per free column f,
+def kernel_basis(columns, nrows: int):
+    """Canonical null-space basis of the matrix with the sparse ``columns``
+    (each over ``range(nrows)``): one sparse vector per free column f,
     with entry 1 at f and -rref[i][f] at each pivot p_i. f is the
     vector's largest index.
 
     Empty list iff the matrix is injective on columns.
     """
-    return _kernel_vectors(*_echelon_rows(_int_rows(m.rows)), m.ncols)
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return _kernel_vectors(*_echelon_rows(_int_rows(rows)), len(columns))
 
 
 def _kernel_vectors(pivots, rows, ncols: int):

@@ -155,8 +155,7 @@ def primitive_basis(g: int, k: int):
     for m in src:
         prod = omega_pow * Element(gs, {m: Fraction(1)})
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
-    mat = ela.RationalMatrix.from_columns(columns, len(dst))
-    vecs = ela.kernel_basis(mat)
+    vecs = ela.kernel_basis(columns, len(dst))
     expected = primitive_dimension(g, k)
     if len(vecs) != expected:
         raise ValidationFailure(
@@ -441,12 +440,14 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
     and the pivot columns and rows of the RREF of I^n_w, each row as
     integer ``(cols, nums)`` cleared of its denominators.
 
-    Through degree 3g a block comes from ``ring._quotient_block``. Above
-    it, its rows are x·φ_u(ρ) for each generator x, u = w - weight(x), and
-    ρ the RREF rows of the block (n - deg x, rep(u)), which is dominant and
-    built already; see ``_full_ring`` for why they span I^n_w. Both
-    x·(-) and φ_u are injective on monomials where the product does not
-    vanish, so a row's terms map term by term without summing.
+    Through degree 3g the RREF is ``ring._quotient_block``'s, over the
+    same positions. Above it, the block is row-reduced from x·φ_u(ρ) for
+    each generator x, u = w - weight(x), and ρ the rows of the block
+    (n - deg x, rep(u)), which is dominant and built already; see
+    ``_full_ring`` for why they span I^n_w. Both x·(-) and φ_u are
+    injective on monomials where the product does not vanish, so a row's
+    terms map term by term without summing. Either way the RREF rows are
+    cleared once, here.
     """
     gs = ring.gs
     mul = gs.mul_monomials
@@ -456,43 +457,35 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
         for w, monos in gs.basis_by_weight(n).items():
             if w != _dominant_orbit_rep(w):
                 continue
-            index = {m: i for i, m in enumerate(monos)}
             if n <= 3 * g:
-                _, forms = ring._quotient_block(n, w)
-                pivot_cols = [index[p] for p in forms]
-                rows = []
-                for p, form in forms.items():
-                    den, nums = ela._cleared(form)
-                    row = sorted([(index[p], den)]
-                                 + [(index[t], -v) for t, v in nums.items()])
-                    rows.append(tuple(zip(*row)))
-                blocks[n, w] = (monos, pivot_cols, rows)
-                continue
-            products = []
-            for xm, dx, wx in gens:
-                u = tuple(map(sub, w, wx))
-                low = blocks.get((n - dx, _dominant_orbit_rep(u)))
-                if low is None or not low[2]:
-                    continue
-                perm = _signed_permutation(u)
-                moved: dict = {}  # odd mask -> (sign, mask) under φ_u
-                images = []  # lower column -> (sign, column) of x·φ_u
-                for m in low[0]:
-                    if m.odd not in moved:
-                        moved[m.odd] = _permute_odd(perm, m.odd)
-                    s, mask = moved[m.odd]
-                    sx, mm = mul(xm, Monomial(m.even, mask))
-                    images.append((s * sx, index[mm]) if sx else (0, 0))
-                for cols, nums in low[2]:
-                    row = []
-                    for c, v in zip(cols, nums):
-                        s, col = images[c]
-                        if s:
-                            row.append((col, s * v))
-                    if row:
-                        row.sort()
-                        products.append(tuple(zip(*row)))
-            pivot_cols, rref = ela._echelon_rows(products)
+                pivot_cols, rref = ring._quotient_block(n, w)
+            else:
+                index = {m: i for i, m in enumerate(monos)}
+                products = []
+                for xm, dx, wx in gens:
+                    u = tuple(map(sub, w, wx))
+                    low = blocks.get((n - dx, _dominant_orbit_rep(u)))
+                    if low is None or not low[2]:
+                        continue
+                    perm = _signed_permutation(u)
+                    moved: dict = {}  # odd mask -> (sign, mask) under φ_u
+                    images = []  # lower column -> (sign, column) of x·φ_u
+                    for m in low[0]:
+                        if m.odd not in moved:
+                            moved[m.odd] = _permute_odd(perm, m.odd)
+                        s, mask = moved[m.odd]
+                        sx, mm = mul(xm, Monomial(m.even, mask))
+                        images.append((s * sx, index[mm]) if sx else (0, 0))
+                    for cols, nums in low[2]:
+                        row = []
+                        for c, v in zip(cols, nums):
+                            s, col = images[c]
+                            if s:
+                                row.append((col, s * v))
+                        if row:
+                            row.sort()
+                            products.append(tuple(zip(*row)))
+                pivot_cols, rref = ela._echelon_rows(products)
             # tuples of ints: the collector untracks them, so the blocks,
             # which live as long as this loop, do not bring a full
             # collection forward

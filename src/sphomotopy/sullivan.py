@@ -206,8 +206,7 @@ class MinimalModel:
                     for rep in blk.representatives]
             a_dim = len(a_next.get(w, []))
             complements[w] = ela.cokernel_complement_indices(cols, a_dim)
-            mat = ela.RationalMatrix.from_columns(cols, a_dim)
-            kernel = ela.kernel_basis(mat)
+            kernel = ela.kernel_basis(cols, a_dim)
             # injectivity on the next stage's H^{n+1}: rank ρ* = dim H - #N
             # (the complement and the kernel come from two eliminations),
             # and the new d(v) are independent modulo B, so the next stage's
@@ -219,8 +218,7 @@ class MinimalModel:
                 rows = blk.coordinates + [
                     {blk.positions[j]: c for j, c in kv.items()}
                     for kv in kernel]
-                width = len(blk.coordinates) + blk.dim
-                if ela.rank(ela.RationalMatrix.from_rows(rows, width)) != len(rows):
+                if ela.rank(rows) != len(rows):
                     raise InternalInconsistency(
                         f"induced map not injective on H^{n + 1} at weight {w}")
             if kernel:
@@ -250,7 +248,8 @@ class MinimalModel:
           representative) kills every kernel vector;
         * minimality: no d(v) has an entry at a position of
           ``blk.monomials`` of word length < 2;
-        * d²=0: the assembled d(n+1) block kills every d(v), one integer
+        * d²=0: the rows of the d(n+1) block that the cocycles were
+          computed from (``blk.d_rows``) kill every d(v), one integer
           product with the d(v) cleared of their denominators.
         """
         for kv in kernel:
@@ -277,7 +276,7 @@ class MinimalModel:
                 f"a new differential has a word-length-1 term at weight {blk.weight}")
         ints = [(list(iv), list(iv.values()))
                 for _, iv in map(ela._cleared, vecs)]
-        if not self.dga.kills(blk.degree, blk.weight, ints):
+        if not ela._kills(blk.d_rows, ints):
             raise InternalInconsistency(
                 f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
         return [(blk.weight, Element(gs, {src[i]: v for i, v in vec.items()}))
@@ -307,8 +306,7 @@ class MinimalModel:
                 vecs = [A.coords_block(self.rho_star(rep), i, w)
                         for rep in blk.representatives]
                 a_dim = len(A.basis_by_weight(i).get(w, []))
-                rk = ela.rank(ela.RationalMatrix.from_rows(vecs, a_dim)) \
-                    if vecs else 0
+                rk = ela.rank(vecs) if vecs else 0
                 dim_h += blk.dim
                 dim_a += a_dim
                 injective &= rk == blk.dim

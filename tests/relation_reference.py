@@ -23,7 +23,7 @@ def primitive_basis(g, k):
     for m in src:
         prod = omega_pow * gs.element({m: 1})
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
-    vecs = ela.kernel_basis(ela.RationalMatrix.from_columns(columns, len(dst)))
+    vecs = ela.kernel_basis(columns, len(dst))
     return [Element(gs, {src[i]: v for i, v in vec.items()}) for vec in vecs]
 
 

@@ -141,12 +141,17 @@ def test_relations_budget_exceeded_clean_error():
     ("minimal-model", "--genus", "2", "--target", "invariant",
      "--max-degree", "3"),
     ("verify", "--suite", "invariant-model", "--genus", "1"),
+    ("betti", "--genus", "1"),
+    ("minimal-model", "--genus", "1", "--max-degree", "4"),
+    ("minimal-model", "--genus", "0", "--target", "invariant",
+     "--max-degree", "4"),
 ], ids=["relations-genus-0", "model-degree-1", "invariant-degree-3",
-        "verify-invariant-genus-1"])
+        "verify-invariant-genus-1", "betti-genus-1", "full-model-genus-1",
+        "invariant-model-genus-0"])
 def test_bad_input_one_line_error(argv):
     res = run_cli(*argv)
     assert res.returncode == 1
-    assert res.stderr.startswith("error:")
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
 
 

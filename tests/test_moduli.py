@@ -151,32 +151,31 @@ def test_dominant_blocks_match_full_ring(g):
             assert len(by_weight.get(w, ())) == len(by_weight.get(rep, ())), (n, w)
 
 
-def _forms(monos, pivot_cols, rows):
-    """``(transversal, pivots)`` in the form of ``DGA._quotient_block`` from
-    a block of ``moduli._dominant_blocks``."""
-    pivots = {}
+def _echelon(pivot_cols, rows):
+    """``(pivot_cols, rref)`` in the form of ``DGA._quotient_block`` from a
+    block of ``moduli._dominant_blocks``, whose rows are cleared."""
+    rref = []
     for p, (cols, nums) in zip(pivot_cols, rows):
         assert cols[0] == p
-        pivots[monos[p]] = {monos[c]: -Fraction(v, nums[0])
-                            for c, v in zip(cols[1:], nums[1:])}
-    pivot_set = set(pivot_cols)
-    return [m for i, m in enumerate(monos) if i not in pivot_set], pivots
+        rref.append({c: Fraction(v, nums[0]) for c, v in zip(cols, nums)})
+    return pivot_cols, rref
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_dominant_blocks_above_3g_match_all_products(g):
     """Above degree 3g a dominant block is row-reduced from generator
-    multiples of lower RREF rows moved by φ_u; it has the transversal and
-    the pivot forms of the block built from every product r·m."""
+    multiples of lower RREF rows moved by φ_u. Every block, its rows
+    cleared of denominators, has the pivot columns and the RREF of the
+    block built from every product r·m."""
     ring = moduli.build_cohomology_algebra(g)
     gs = ring.gs
     blocks = moduli._dominant_blocks(ring, g)
     flipped = permuted = False
     for (n, w), block in blocks.items():
         assert w == _dominant_orbit_rep(w)
+        assert _echelon(*block[1:]) == ring._quotient_block(n, w), (n, w)
         if n <= 3 * g:
             continue
-        assert _forms(*block) == ring._quotient_block(n, w), (n, w)
         for x in gs.gens:
             u = tuple(a - b for a, b in zip(w, x.weight))
             if (n - x.degree, _dominant_orbit_rep(u)) not in blocks:

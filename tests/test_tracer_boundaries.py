@@ -72,3 +72,28 @@ def test_count_hooks_read_real_results():
     assert counts["echelon_rows_in"] == len(rows) > 0
     assert counts["echelon_rank_out"] == len(echelon[0]) > 0
     assert counts["max_coeff_bits"] >= 1
+
+
+def test_d_matrix_read_once_per_cohomology_block(monkeypatch):
+    """Each cohomology block assembles its d block once and nothing else
+    reads it, so the tracer's ``dga.d_matrix`` counters measure the model's
+    own traffic: a second read or a cache in front of the assembly would
+    change the count."""
+    from sphomotopy import sullivan
+    from sphomotopy.dga import DGA
+
+    calls = {"d_matrix": 0, "cohomology": 0}
+
+    def counted(name):
+        original = getattr(DGA, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    target = sullivan.moduli_target(2)
+    for name in calls:
+        monkeypatch.setattr(DGA, name, counted(name))
+    sullivan.build(target, 8)
+    assert calls["d_matrix"] == calls["cohomology"] > 0
