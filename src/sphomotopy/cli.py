@@ -42,6 +42,10 @@ def cmd_betti(args) -> int:
 
 def cmd_relations(args) -> int:
     g = args.genus
+    if g >= 2:
+        # the primitive parts enumerate through degree 3(2g+1); refuse
+        # before the relation recursion, which is itself costly at large g
+        moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
     q = moduli.q_polynomials(g)
     degrees = [2 * g, 2 * g + 2, 2 * g + 4]
     payload = {
@@ -50,8 +54,6 @@ def cmd_relations(args) -> int:
         "q": [q.q1.render(), q.q2.render(), q.q3.render()],
     }
     if g >= 2:
-        # the primitive parts enumerate through degree 3(2g+1)
-        moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
         payload["E"] = [e.render() for e in moduli.relation_subspace_E(g)]
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False))

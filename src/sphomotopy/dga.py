@@ -7,8 +7,7 @@ Two flavours share the class:
 * quotient rings — a free algebra modulo a homogeneous relation
   subspace, with zero differential; used for the cohomology rings the
   models map into. The ring is the model's target as it stands: it
-  carries its per-weight bases, reduction, products and the coordinates
-  of an element in one (degree, weight) block.
+  carries its per-weight bases and the reduction to the transversal.
 
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from it with the Leibniz
@@ -18,8 +17,7 @@ elimination as integer rows, cleared one row (target monomial) at a time:
 RREF and the canonical kernel vectors do not change under row scaling,
 although they do under column scaling. The cohomology block keeps those
 rows for the model's d²=0 check. ``Element``s are built only at the API
-edge (``d_monomial``, ``apply_d``, cohomology representatives on
-request).
+edge (``d_monomial``, ``apply_d``).
 
 A quotient keeps one record per degree, read off the row-reduced span of
 the relations in that degree. Every relation has one degree and one
@@ -27,9 +25,9 @@ weight, so that span splits into (degree, weight) blocks, and each block
 is row-reduced on its own. The record holds each block's canonical
 monomial transversal (the non-pivot monomials) and, for each pivot
 monomial, its reduced form over the transversal. Reduction replaces each
-pivot monomial by its form, in one pass; multiplication is
-multiply-then-reduce, which is well defined because the relations are
-homogeneous.
+pivot monomial by its form, in one pass. It is the linear projection
+whose kernel is the ideal, so a product may be reduced once, after all
+its factors are multiplied: reduce(reduce(a)·b) = reduce(a·b).
 A degree's record is built when the degree is first read.
 """
 
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import sub
 
@@ -54,14 +51,13 @@ class CohomologyBlock:
     ``coboundary_vectors`` and ``representative_vectors`` are sparse
     ``{position: rational}`` vectors over ``monomials``; the coboundary
     vectors are independent and span the coboundaries, as pivot columns
-    of d or as RREF rows (see ``DGA.cohomology``). ``coboundaries`` and
-    ``representatives`` are the same as ``Element``s, built on first use.
-    ``coordinates`` gives each coboundary vector in the canonical basis of
-    the cocycles, and ``positions`` says which cocycle basis vector each
-    representative is. ``d_rows`` are the rows of d: n -> n+1 the cocycles
-    were computed from, as integer ``(cols, nums)`` pairs over the
-    positions of ``monomials`` (see ``DGA._d_rows``); the model checks
-    d²=0 against them.
+    of d or as RREF rows (see ``DGA.cohomology``). ``coordinates`` gives
+    each coboundary vector in the canonical basis of the cocycles, and
+    ``positions`` says which cocycle basis vector each representative is.
+    ``d_rows`` are the rows of d: n -> n+1 the cocycles were computed
+    from, as integer ``(cols, nums)`` pairs over the positions of
+    ``monomials`` (see ``DGA._d_rows``); the model checks d²=0 against
+    them.
     """
 
     degree: int
@@ -72,24 +68,10 @@ class CohomologyBlock:
     coordinates: list
     positions: list
     d_rows: list
-    gs: GeneratorSet
 
     @property
     def dim(self) -> int:
         return len(self.representative_vectors)
-
-    def _elements(self, vecs):
-        src = self.monomials
-        return [Element(self.gs, {src[i]: v for i, v in vec.items()})
-                for vec in vecs]
-
-    @cached_property
-    def coboundaries(self) -> list:
-        return self._elements(self.coboundary_vectors)
-
-    @cached_property
-    def representatives(self) -> list:
-        return self._elements(self.representative_vectors)
 
 
 _NO_D = (1, {})  # the integer differential of a cocycle; never mutated
@@ -250,19 +232,6 @@ class DGA:
     def dim(self, n: int) -> int:
         return sum(map(len, self.basis_by_weight(n).values()))
 
-    def coords_block(self, x: Element, n: int, w) -> dict:
-        """Sparse coordinates over the weight-w block of the degree-n basis."""
-        block = self.basis_by_weight(n).get(w, [])
-        index = {m: i for i, m in enumerate(block)}
-        out = {}
-        for m, c in x.terms.items():
-            try:
-                out[index[m]] = c
-            except KeyError:
-                raise InternalInconsistency(
-                    f"target element leaves the ({n}, {w}) block") from None
-        return out
-
     def _quotient_data(self, n: int):
         """``(by_weight, pivots)`` of the quotient in degree n.
 
@@ -363,9 +332,6 @@ class DGA:
                         continue
                 out[t] = v
         return Element(gs, out)
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        return self.reduce(x * y)
 
     # -- cohomology -----------------------------------------------------------
 
@@ -468,5 +434,4 @@ class DGA:
             coordinates=coords,
             positions=reps_idx,
             d_rows=up_rows,
-            gs=self.gs,
         )

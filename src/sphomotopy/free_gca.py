@@ -360,13 +360,11 @@ class Element:
             result = result * self
         return result
 
-    def word_component(self, k: int, at_least: bool = True) -> "Element":
+    def word_component(self, k: int) -> "Element":
+        """The terms of word length at least k."""
         gs = self.gs
-        if at_least:
-            keep = {m: c for m, c in self.terms.items() if gs.word_length(m) >= k}
-        else:
-            keep = {m: c for m, c in self.terms.items() if gs.word_length(m) == k}
-        return Element(gs, keep)
+        return Element(gs, {m: c for m, c in self.terms.items()
+                            if gs.word_length(m) >= k})
 
     def render(self) -> str:
         if not self.terms:

@@ -1,9 +1,14 @@
 """Degreewise minimal model construction for zero-differential targets.
 
 The target is a quotient ring (``DGA`` with relations), used as it
-stands: the model reads the ring's per-weight bases and block
-coordinates and reduces and multiplies in it directly. The ring must be
-1-connected: A^0 is the ground field and A^1 = 0.
+stands: the model reads the ring's per-weight bases and reduces in it
+directly. The ring must be 1-connected: A^0 is the ground field and
+A^1 = 0.
+
+The target's differential is zero, so the structure map ρ sends each
+generator to one basis monomial of the ring (C part) or to 0 (N part),
+and the ρ* matrix of a cohomology block is read off its representative
+vectors with one reduced monomial product per source monomial.
 
 Stage n adjoins two kinds of generators to the free model built so far:
 
@@ -50,7 +55,8 @@ from . import moduli, sp_characters
 from .dga import DGA
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
-from .free_gca import ONE, Element, GeneratorSet, Monomial, configured_budget
+from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
+                       configured_budget)
 
 
 @dataclass
@@ -94,10 +100,8 @@ class MinimalModel:
         self.budget = budget if budget is not None else configured_budget()
         self.dga = DGA(GeneratorSet(target.gs.weight_len), {})
         self.stages: list[MinimalModelStage] = []
-        self.rho: dict[int, Element] = {}
-        self._rho_mono_cache: dict = {}
-        self._rho_zero_odd = 0
-        self._rho_zero_even: set = set()
+        # generator index -> its target monomial; absent when ρ(g) = 0
+        self.rho: dict[int, Monomial] = {}
         # (n, {weight: complement positions in A^n_w}) for the next stage;
         # H^2 of the empty model is 0
         self._complements: tuple = (2, {})
@@ -105,31 +109,35 @@ class MinimalModel:
     # -- structure map -------------------------------------------------------
 
     def rho_of_monomial(self, m: Monomial) -> Element:
-        """Image of a model monomial in the target (product of generator
-        images, reduced)."""
-        if m == ONE:
-            return self.target.gs.unit()
-        if m.odd & self._rho_zero_odd:
-            return self.target.gs.zero()
-        for o, _ in m.even:
-            if o in self._rho_zero_even:
-                return self.target.gs.zero()
-        cached = self._rho_mono_cache.get(m)
-        if cached is not None:
-            return cached
-        gs = self.dga.gs
-        if m.odd:
-            low_top = 1 << (m.odd.bit_length() - 1)
-            rest = Monomial(m.even, m.odd ^ low_top)
-            gen = gs.odd[low_top.bit_length() - 1]
-        else:
-            o, e = m.even[-1]
-            rest_even = m.even[:-1] + (((o, e - 1),) if e > 1 else ())
-            rest = Monomial(rest_even, 0)
-            gen = gs.even[o]
-        out = self.target.multiply(self.rho_of_monomial(rest), self.rho[gen.index])
-        self._rho_mono_cache[m] = out
-        return out
+        """Image of a model monomial in the target: the reduced form of the
+        signed product of its factors' target monomials, taken in the
+        monomial's factor order (even factors, then odd ones ascending).
+
+        Reducing once at the end is reducing after every factor, since
+        ``reduce`` is the projection whose kernel is the ideal. A factor
+        that maps to 0, or an odd square in the product, gives 0. Nothing
+        is cached: the model loop reads each monomial's image once.
+        """
+        gs, rho, A = self.dga.gs, self.rho, self.target
+        monos = []
+        for o, e in m.even:
+            mono = rho.get(gs.even[o].index)
+            if mono is None:
+                return A.gs.zero()
+            monos += [mono] * e
+        for o in _bits(m.odd):
+            mono = rho.get(gs.odd[o].index)
+            if mono is None:
+                return A.gs.zero()
+            monos.append(mono)
+        mul = A.gs.mul_monomials
+        sign, prod = 1, ONE
+        for mono in monos:
+            s, prod = mul(prod, mono)
+            if not s:
+                return A.gs.zero()
+            sign *= s
+        return A.reduce(Element(A.gs, {prod: Fraction(sign)}))
 
     def rho_star(self, x: Element) -> Element:
         out = self.target.gs.zero()
@@ -143,17 +151,39 @@ class MinimalModel:
     def _check_budget(self, n: int):
         self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
 
+    def _rho_columns(self, blk, a_block) -> list:
+        """The ρ* matrix of a cohomology block: for each representative
+        vector over ``blk.monomials``, its image as a sparse vector over
+        the positions of ``a_block``, the target's basis in the block's
+        (degree, weight)."""
+        index = {m: i for i, m in enumerate(a_block)}
+        src = blk.monomials
+        cols = []
+        for rep in blk.representative_vectors:
+            col: dict = {}
+            for j, c in rep.items():
+                for t, v in self.rho_of_monomial(src[j]).terms.items():
+                    i = index.get(t)
+                    if i is None:
+                        raise InternalInconsistency(
+                            f"target element leaves the ({blk.degree}, "
+                            f"{blk.weight}) block")
+                    col[i] = col.get(i, 0) + c * v
+            cols.append({i: v for i, v in col.items() if v})
+        return cols
+
     def _register(self, stage_gens, name, degree, weight, part, d_image,
-                  rho_image):
-        """Adjoin one generator. Its postconditions are the caller's: block
+                  rho_mono):
+        """Adjoin one generator with ρ(g) the target monomial ``rho_mono``,
+        or 0 if it is None. Its postconditions are the caller's: block
         identities in ``extend_stage``, direct checks in ``invariant_model``."""
         g = self.dga.add_generator(name, degree, weight, d_image)
-        self.rho[g.index] = rho_image
-        if rho_image.is_zero():
-            if g.is_odd:
-                self._rho_zero_odd |= 1 << g.ordinal
-            else:
-                self._rho_zero_even.add(g.ordinal)
+        tgs = self.target.gs
+        if rho_mono is None:
+            rho_image = tgs.zero()
+        else:
+            self.rho[g.index] = rho_mono
+            rho_image = Element(tgs, {rho_mono: Fraction(1)})
         stage_gens.append(StageGenerator(name, degree, tuple(weight), part,
                                          d_image, rho_image))
 
@@ -202,9 +232,9 @@ class MinimalModel:
             blk = self.dga.cohomology(n + 1, w)
             if blk.dim == 0:
                 continue
-            cols = [A.coords_block(self.rho_star(rep), n + 1, w)
-                    for rep in blk.representatives]
-            a_dim = len(a_next.get(w, []))
+            a_block = a_next.get(w, [])
+            cols = self._rho_columns(blk, a_block)
+            a_dim = len(a_block)
             complements[w] = ela.cokernel_complement_indices(cols, a_dim)
             kernel = ela.kernel_basis(cols, a_dim)
             # injectivity on the next stage's H^{n+1}: rank ρ* = dim H - #N
@@ -226,14 +256,12 @@ class MinimalModel:
 
         # register after all cohomology in the old algebra is computed
         for w, mono in c_plan:
-            rho_img = Element(A.gs, {mono: Fraction(1)})
             self._register(stage_gens, fresh_name(w), n, w, "C",
-                           gs.zero(), rho_img)
+                           gs.zero(), mono)
         for w, d_img in n_plan:
             if d_img.weight() != w:
                 raise InternalInconsistency("differential image off-weight")
-            self._register(stage_gens, fresh_name(w), n, w, "N",
-                           d_img, A.gs.zero())
+            self._register(stage_gens, fresh_name(w), n, w, "N", d_img, None)
         stage = MinimalModelStage(n, stage_gens)
         self.stages.append(stage)
         self._complements = (n + 1, complements)
@@ -303,9 +331,9 @@ class MinimalModel:
             injective = surjective = True
             for w in sorted(weights):
                 blk = self.dga.cohomology(i, w)
-                vecs = [A.coords_block(self.rho_star(rep), i, w)
-                        for rep in blk.representatives]
-                a_dim = len(A.basis_by_weight(i).get(w, []))
+                a_block = A.basis_by_weight(i).get(w, [])
+                vecs = self._rho_columns(blk, a_block)
+                a_dim = len(a_block)
                 rk = ela.rank(vecs) if vecs else 0
                 dim_h += blk.dim
                 dim_a += a_dim
@@ -324,7 +352,7 @@ class MinimalModel:
         for s in self.stages:
             for g in s.generators:
                 if not g.d_image.is_zero() and \
-                        g.d_image != g.d_image.word_component(2, at_least=True):
+                        g.d_image != g.d_image.word_component(2):
                     bad.append(g.name)
         return bad
 
@@ -429,13 +457,13 @@ def invariant_model(g: int, max_degree: int,
     for name, deg, part, d_poly, rho_name in plan:
         if d_poly is None:
             d_img = gs.zero()
-            rho_img = Element(A.gs, {A.gs.monomial_of(rho_name): Fraction(1)})
+            rho_mono = A.gs.monomial_of(rho_name)
         else:
             # relation polynomials live on even ordinals matching ours
             d_img = Element(gs, dict(d_poly.terms))
-            rho_img = A.gs.zero()
+            rho_mono = None
         bucket: list[StageGenerator] = by_degree.setdefault(deg, [])
-        model._register(bucket, name, deg, zero_w, part, d_img, rho_img)
+        model._register(bucket, name, deg, zero_w, part, d_img, rho_mono)
     # the transgressions are written down, not derived: check them
     bad = model.dga.check_d_squared()
     if bad:

@@ -136,6 +136,24 @@ def test_relations_budget_exceeded_clean_error():
 
 
 @pytest.mark.parametrize("argv", [
+    ("betti", "--genus", "300"),
+    ("relations", "--genus", "300"),
+    ("minimal-model", "--genus", "300", "--max-degree", "3"),
+    ("verify", "--suite", "higher-genus", "--genus", "300"),
+], ids=["betti", "relations", "minimal-model", "verify"])
+def test_default_budget_refuses_genus_300_first(monkeypatch, argv):
+    """Every command checks the default budget before its first costly
+    step: the relation recursion alone takes about a minute at genus 300."""
+    monkeypatch.delenv("SPHOMOTOPY_BUDGET", raising=False)
+    res = run_cli(*argv, timeout=10)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: monomial budget exceeded")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
     ("relations", "--genus", "0"),
     ("minimal-model", "--genus", "2", "--max-degree", "1"),
     ("minimal-model", "--genus", "2", "--target", "invariant",

@@ -8,7 +8,7 @@ from sphomotopy import moduli, sp_characters, sullivan, tables
 from sphomotopy.dga import DGA, CohomologyBlock
 from sphomotopy.errors import (BudgetExceeded, InternalInconsistency,
                                TargetNotOneConnected, ValidationFailure)
-from sphomotopy.free_gca import Element, GeneratorSet, Monomial
+from sphomotopy.free_gca import ONE, Element, GeneratorSet, Monomial
 
 
 def sphere_target():
@@ -109,9 +109,8 @@ def test_g2_model_cohomology_matches_betti(g2_model):
     gs = g2_model.dga.gs
     h = gs.gen(g2_model.stage(2).generators[0].name)
     h3 = h * h * h
-    basis = blk.monomials
-    index = {m: i for i, m in enumerate(basis)}
-    b_rows = [{index[m]: c for m, c in e.terms.items()} for e in blk.coboundaries]
+    index = {m: i for i, m in enumerate(blk.monomials)}
+    b_rows = blk.coboundary_vectors
     h3_row = {index[m]: c for m, c in h3.terms.items()}
     rank_b = ela.rank(b_rows)
     rank_bh = ela.rank(b_rows + [h3_row])
@@ -150,8 +149,7 @@ def test_dropped_generator_fails_injectivity():
     bucket = []
     for g in full.stage(4).generators[:-1]:
         d_img = Element(crippled.dga.gs, dict(g.d_image.terms))
-        crippled._register(bucket, g.name, 4, g.weight, g.part, d_img,
-                           crippled.target.gs.zero())
+        crippled._register(bucket, g.name, 4, g.weight, g.part, d_img, None)
     crippled.stages.append(sullivan.MinimalModelStage(4, bucket))
     report = crippled.verify_quasi_iso(4)
     assert not report.ok
@@ -177,15 +175,21 @@ def test_genus3_low_degrees():
 
 def _reference_c_plan(model, n):
     """The C part of stage n recomputed from the current model: H^n, the
-    induced map, and the complement of its image."""
+    induced map as ``rho_star`` of each representative ``Element``, and the
+    complement of its image."""
     A = model.target
     a_blocks = A.basis_by_weight(n)
     plan = []
     for w in sorted(set(a_blocks) | set(model.dga.gs.basis_by_weight(n))):
         blk = model.dga.cohomology(n, w)
-        vecs = [A.coords_block(model.rho_star(rep), n, w)
-                for rep in blk.representatives]
         a_basis = a_blocks.get(w, [])
+        index = {m: i for i, m in enumerate(a_basis)}
+        vecs = []
+        for rep in blk.representative_vectors:
+            x = Element(model.dga.gs,
+                        {blk.monomials[i]: c for i, c in rep.items()})
+            vecs.append({index[m]: c
+                         for m, c in model.rho_star(x).terms.items()})
         if vecs:
             assert ela.rank(vecs) == len(vecs)  # injective on H^n
         for pos in ela.cokernel_complement_indices(vecs, len(a_basis)):
@@ -355,9 +359,82 @@ def test_word_length_one_differential_detected():
     blk = CohomologyBlock(degree=2, weight=(), monomials=[v2],
                           coboundary_vectors=[], representative_vectors=[one],
                           coordinates=[], positions=[0],
-                          d_rows=model.dga._d_rows(2, ())[1], gs=gs)
+                          d_rows=model.dga._d_rows(2, ())[1])
     with pytest.raises(InternalInconsistency, match="word-length-1 term"):
         model._kernel_part(blk, [{}], [one])
+
+
+def test_rho_columns_reject_foreign_terms(monkeypatch):
+    """The ρ* columns are read over the positions of the target block; an
+    image term outside the block is an error, in the model loop too."""
+    target = sphere_target()
+    h = target.gs.gen("h")
+    model = sullivan.MinimalModel(target)
+    model.extend_stage(2)
+    blk = model.dga.cohomology(2, ())
+    assert model._rho_columns(blk, target.basis(2, ())) == [{0: 1}]
+    monkeypatch.setattr(model, "rho_of_monomial", lambda m: h * h)
+    with pytest.raises(InternalInconsistency,
+                       match=r"leaves the \(2, \(\)\) block"):
+        model._rho_columns(blk, target.basis(2, ()))
+    # stage 3 reads H^4, where v2² maps to h: a degree-2 term
+    monkeypatch.setattr(model, "rho_of_monomial", lambda m: h)
+    with pytest.raises(InternalInconsistency,
+                       match=r"leaves the \(4, \(\)\) block"):
+        model.extend_stage(3)
+
+
+def _reference_rho(model):
+    """ρ by its recursive definition: ρ(1) = 1 and ρ(rest·g) =
+    reduce(ρ(rest)·ρ(g)), with g the last odd factor, or the last even one
+    if there is none, and ρ(g) the generator's ``rho_image``. Also returns
+    the list of the monomials whose last product is not reduced."""
+    A = model.target
+    gs = model.dga.gs
+    images = {gs[g.name].index: g.rho_image
+              for s in model.stages for g in s.generators}
+    cache = {ONE: A.gs.unit()}
+    unreduced = []
+
+    def rho(m):
+        if m in cache:
+            return cache[m]
+        if m.odd:
+            top = 1 << (m.odd.bit_length() - 1)
+            rest = Monomial(m.even, m.odd ^ top)
+            gen = gs.odd[top.bit_length() - 1]
+        else:
+            o, e = m.even[-1]
+            rest = Monomial(m.even[:-1] + (((o, e - 1),) if e > 1 else ()), 0)
+            gen = gs.even[o]
+        product = rho(rest) * images[gen.index]
+        cache[m] = out = A.reduce(product)
+        if out != product:
+            unreduced.append(m)
+        return out
+    return rho, unreduced
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: sullivan.build(sullivan.moduli_target(2), 9), 9),
+    (lambda: sullivan.build(sullivan.moduli_target(3), 7), 7),
+    (lambda: sullivan.invariant_model(2, 13), 13),
+], ids=["genus2-9", "genus3-7", "invariant-genus2-13"])
+def test_rho_is_the_algebra_map(make, top):
+    """``rho_of_monomial`` reduces one product of the factors' target
+    monomials; it agrees with reducing after every factor on every model
+    monomial, products that the reduction changes included."""
+    model = make()
+    reference, unreduced = _reference_rho(model)
+    checked = nonzero = 0
+    for n in range(top + 1):
+        for m in model.dga.gs.basis(n):
+            got = model.rho_of_monomial(m)
+            assert got == reference(m), (n, m)
+            checked += 1
+            nonzero += not got.is_zero()
+    assert nonzero > 1 and checked > nonzero
+    assert unreduced
 
 
 def test_rho_star_is_reduced(g2_model):
