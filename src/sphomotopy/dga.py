@@ -50,8 +50,8 @@ class CohomologyBlock:
 
     ``coboundary_vectors`` and ``representative_vectors`` are sparse
     ``{position: rational}`` vectors over ``monomials``; the coboundary
-    vectors are independent and span the coboundaries, as pivot columns
-    of d or as RREF rows (see ``DGA.cohomology``). ``coordinates`` gives
+    vectors are integer, independent, and span the coboundaries, as pivot
+    columns of d or as RREF rows (see ``DGA.cohomology``). ``coordinates`` gives
     each coboundary vector in the canonical basis of the cocycles, and
     ``positions`` says which cocycle basis vector each representative is.
     ``d_rows`` are the rows of d: n -> n+1 the cocycles were computed
@@ -253,7 +253,8 @@ class DGA:
             pivot_cols, rref = self._quotient_block(n, w)
             # an RREF row is zero at the other pivot columns
             for p, row in zip(pivot_cols, rref):
-                pivots[monos[p]] = {monos[c]: -v for c, v in row.items() if c != p}
+                pivots[monos[p]] = {monos[c]: Fraction(-v, row[p])
+                                    for c, v in row.items() if c != p}
             pivot_set = set(pivot_cols)
             transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
             if transversal:
@@ -302,8 +303,7 @@ class DGA:
                     sign, mm = mul(mr, m)
                     row.append((index[mm], sign * c))
                 if row:
-                    row.sort()
-                    rows.append(tuple(zip(*row)))  # (cols, nums)
+                    rows.append(ela._row(row))
         return ela._echelon_rows(rows)
 
     def reduce(self, x: Element) -> Element:
@@ -377,11 +377,11 @@ class DGA:
         out = []
         for m in self.basis(n - 1, w):
             try:
-                row = sorted((index[mm], c) for mm, c in d_int(m)[1].items())
+                out.append(ela._row((index[mm], c)
+                                    for mm, c in d_int(m)[1].items()))
             except KeyError:
                 raise InternalInconsistency(
                     "differential left the (degree, weight) block") from None
-            out.append(tuple(zip(*row)) if row else ((), ()))
         return out
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
@@ -390,8 +390,8 @@ class DGA:
         The cocycles get the canonical kernel basis z_k of d(n): z_k is 1
         at its free column f_k, which is its last nonzero entry, and 0 at
         the other free columns. A cocycle b is therefore Σ_k b[f_k]·z_k.
-        The coboundaries are independent vectors that span the image of
-        d(n-1): its pivot columns, cleared of denominators, when the
+        The coboundaries are independent integer vectors spanning the image
+        of d(n-1): its pivot columns, cleared of denominators, when the
         elimination of d(n-1) on the same source is on record, else the
         RREF rows of its image. The representatives are the z_k at the
         non-pivot positions of the RREF of the coboundaries' coordinates,

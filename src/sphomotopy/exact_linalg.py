@@ -5,16 +5,14 @@ through the reduced row echelon form computed here. RREF is unique, so
 all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
-Rows, columns and vectors are sparse ``{index: Fraction}`` dicts without
-zero entries (``int`` values are rationals too), in and out: ``rank``
-takes a list of vectors, ``kernel_basis`` the list of a matrix's columns,
-and kernel vectors come back in the same form. The elimination itself,
-``_echelon_rows``, is the only one; it runs on private integer-cleared
-``(cols, nums)`` rows and divides by the pivot only when it emits the
-result. ``dga``, which assembles its differentials in integers, hands
-such rows to it directly. ``RationalMatrix`` and the preimage solver,
-which takes and returns dense vectors, are kept only for the benchmark's
-layer tracer.
+The public functions take sparse ``{index: Fraction}`` dicts without zero
+entries (``int`` values are rationals too): ``rank`` a list of vectors,
+``kernel_basis`` a matrix's columns, and kernel vectors come back in the
+same form. The one elimination, ``_echelon_rows``, takes integer
+``(cols, nums)`` rows and returns each RREF row as the primitive integer
+vector with a positive pivot entry; a caller that needs the unit pivot
+divides by it. ``RationalMatrix`` and the preimage solver, which takes
+and returns dense vectors, are kept only for the benchmark's layer tracer.
 """
 
 from __future__ import annotations
@@ -60,6 +58,12 @@ def _int_rows(rows):
         nums = [row[c].numerator * (den // row[c].denominator) for c in cols]
         out.append((cols, nums))
     return out
+
+
+def _row(pairs):
+    """The integer row ``(cols, nums)`` of ``(col, int)`` pairs with distinct
+    columns, as tuples (untracked by the collector); ``((), ())`` if none."""
+    return tuple(zip(*sorted(pairs))) or ((), ())
 
 
 def _cleared(vec: dict):
@@ -124,11 +128,12 @@ def _combine(tc, tn, pc, pn, a, b):
 
 
 def _echelon_rows(int_rows):
-    """Return ``(pivot_cols, rref_rows)`` for integer sparse rows.
+    """Return ``(pivot_cols, rows)`` for integer sparse rows.
 
-    ``int_rows`` is a list of ``(cols, nums)`` pairs (see ``_int_rows``).
-    ``rref_rows[i]`` is a ``{col: Fraction}`` dict with a unit entry at
-    ``pivot_cols[i]``; pivot columns are strictly increasing.
+    ``int_rows`` is a list of ``(cols, nums)`` pairs (see ``_row``).
+    ``rows[i]`` is a ``{col: int}`` dict, the i-th RREF row scaled to the
+    unique primitive vector with a positive entry at ``pivot_cols[i]``;
+    pivot columns are strictly increasing.
     """
     by_lead = {}
     seq = 0
@@ -167,13 +172,13 @@ def _echelon_rows(int_rows):
                 rc, rn = _strip(rc, rn)
                 pivots[j] = (cj, rc, rn)
 
-    pivot_cols = []
     out = []
-    for col, cols, nums in pivots:
-        pivot_cols.append(col)
-        lead = nums[0]
-        out.append({c: Fraction(v, lead) for c, v in zip(cols, nums)})
-    return pivot_cols, out
+    for _, cols, nums in pivots:
+        cols, nums = _strip(cols, nums)
+        if nums[0] < 0:
+            nums = [-v for v in nums]
+        out.append(dict(zip(cols, nums)))
+    return [col for col, _, _ in pivots], out
 
 
 def rank(vectors) -> int:
@@ -203,7 +208,7 @@ def _kernel_vectors(pivots, rows, ncols: int):
     for p, row in zip(pivots, rows):
         for f, v in row.items():
             if f != p:  # an RREF row is zero at the other pivot columns
-                basis[f][p] = -v
+                basis[f][p] = Fraction(-v, row[p])
     return list(basis.values())
 
 
@@ -274,6 +279,6 @@ def preimage_many(m: RationalMatrix, bs):
             if p < m.ncols:
                 v = rows[i].get(col)
                 if v:
-                    vec[p] = v
+                    vec[p] = Fraction(v, rows[i][p])
         sols.append(tuple(vec))
     return sols

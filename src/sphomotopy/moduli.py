@@ -312,10 +312,8 @@ def _certify_weyl_stable(ring: DGA, g: int):
 def _span_rank(vecs: list) -> int:
     """Rank of the span of vectors given as ``(monomial, int)`` pairs."""
     index: dict = {}
-    rows = []
-    for v in vecs:
-        row = sorted((index.setdefault(m, len(index)), c) for m, c in v)
-        rows.append(tuple(zip(*row)))  # (cols, nums)
+    rows = [ela._row((index.setdefault(m, len(index)), c) for m, c in v)
+            for v in vecs]
     return len(ela._echelon_rows(rows)[0])
 
 
@@ -437,8 +435,8 @@ def _full_ring(g: int, budget: int | None):
 def _dominant_blocks(ring: DGA, g: int) -> dict:
     """``{(n, w): (monos, pivot_cols, rows)}`` for each dominant weight w
     of the free degree-n basis, n = 0..6g-3: the block's free monomials,
-    and the pivot columns and rows of the RREF of I^n_w, each row as
-    integer ``(cols, nums)`` cleared of its denominators.
+    and the pivot columns and rows of the RREF of I^n_w, each row as the
+    primitive integer ``(cols, nums)`` that ``_echelon_rows`` returns.
 
     Through degree 3g the RREF is ``ring._quotient_block``'s, over the
     same positions. Above it, the block is row-reduced from x·φ_u(ρ) for
@@ -446,8 +444,7 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
     (n - deg x, rep(u)), which is dominant and built already; see
     ``_full_ring`` for why they span I^n_w. Both x·(-) and φ_u are
     injective on monomials where the product does not vanish, so a row's
-    terms map term by term without summing. Either way the RREF rows are
-    cleared once, here.
+    terms map term by term without summing.
     """
     gs = ring.gs
     mul = gs.mul_monomials
@@ -483,17 +480,13 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
                             if s:
                                 row.append((col, s * v))
                         if row:
-                            row.sort()
-                            products.append(tuple(zip(*row)))
+                            products.append(ela._row(row))
                 pivot_cols, rref = ela._echelon_rows(products)
             # tuples of ints: the collector untracks them, so the blocks,
             # which live as long as this loop, do not bring a full
             # collection forward
-            rows = []
-            for row in rref:
-                nums = ela._cleared(row)[1]
-                rows.append((tuple(nums), tuple(nums.values())))
-            blocks[n, w] = (monos, pivot_cols, rows)
+            blocks[n, w] = (monos, pivot_cols,
+                            [ela._row(row.items()) for row in rref])
     return blocks
 
 

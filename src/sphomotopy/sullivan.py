@@ -302,9 +302,7 @@ class MinimalModel:
         if low and any(not low.isdisjoint(vec) for vec in vecs):
             raise InternalInconsistency(
                 f"a new differential has a word-length-1 term at weight {blk.weight}")
-        ints = [(list(iv), list(iv.values()))
-                for _, iv in map(ela._cleared, vecs)]
-        if not ela._kills(blk.d_rows, ints):
+        if not ela._kills(blk.d_rows, ela._int_rows(vecs)):
             raise InternalInconsistency(
                 f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
         return [(blk.weight, Element(gs, {src[i]: v for i, v in vec.items()}))
@@ -313,6 +311,11 @@ class MinimalModel:
     # -- reports ---------------------------------------------------------------
 
     def stage(self, n: int) -> MinimalModelStage:
+        """The degree-n stage; stages are built from degree 2 on."""
+        if not 2 <= n < 2 + len(self.stages):
+            built = (f"degrees 2..{self.stages[-1].degree}" if self.stages
+                     else "no degrees")
+            raise ValueError(f"no stage of degree {n}: built {built}")
         return self.stages[n - 2]
 
     def dims(self) -> dict:

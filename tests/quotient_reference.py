@@ -1,6 +1,8 @@
 """Whole-degree reference for the quotient ring, which ``dga`` row-reduces
 one (degree, weight) block at a time."""
 
+from fractions import Fraction
+
 from sphomotopy import exact_linalg as ela
 
 
@@ -26,5 +28,7 @@ def whole_degree_quotient(ring, n):
     pivots, rref_rows = ela._echelon_rows(ela._int_rows(rows))
     pivot_set = set(pivots)
     transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
-    return transversal, {monos[p]: {monos[c]: v for c, v in row.items()}
+    # the kernel's rows are primitive integer multiples of the RREF rows
+    return transversal, {monos[p]: {monos[c]: Fraction(v, row[p])
+                                    for c, v in row.items()}
                          for p, row in zip(pivots, rref_rows)}

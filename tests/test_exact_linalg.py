@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,10 +30,17 @@ def kernel(rows, ncols):
     return ela.kernel_basis(columns, len(rows))
 
 
+def unit(pivots, rows):
+    """The RREF itself: each integer row of ``_echelon_rows`` divided by
+    its pivot entry."""
+    return [{c: F(v, row[p]) for c, v in row.items()}
+            for p, row in zip(pivots, rows)]
+
+
 def rref(rows):
     """``(rref rows, pivot columns)`` of the matrix with sparse ``rows``."""
     pivots, out = ela._echelon_rows(ela._int_rows(rows))
-    return out, pivots
+    return unit(pivots, out), pivots
 
 
 def dense_rows(out, width):
@@ -96,12 +104,24 @@ def test_cokernel_complement_cases():
     assert complement([(1, 1, 0)], 3) == [{1: 1}, {2: 1}]
 
 
-def test_echelon_unit_pivots():
-    rows = [([0, 2], [3, 6]), ([1, 2], [2, -4])]
-    pivots, rref = ela._echelon_rows(rows)
-    assert pivots == [0, 1]
-    for p, row in zip(pivots, rref):
-        assert row[p] == 1
+@pytest.mark.parametrize("rows, want", [
+    ([([0, 2], [3, 6]), ([1, 2], [2, -4])], [{0: 1, 2: 2}, {1: 1, 2: -2}]),
+    ([([0, 1], [2, 3])], [{0: 1, 1: F(3, 2)}]),
+    ([([0, 1], [4, 6])], [{0: 1, 1: F(3, 2)}]),
+    ([([0, 1], [-2, 3])], [{0: 1, 1: F(-3, 2)}]),
+    ([([1, 3], [-6, 4]), ([0, 1, 2], [1, 1, 1])],
+     [{0: 1, 2: 1, 3: F(2, 3)}, {1: 1, 3: F(-2, 3)}]),
+], ids=["unit", "non-unit", "content", "negative-lead", "two-rows"])
+def test_echelon_rows_primitive_positive_pivot(rows, want):
+    """Each row is a primitive integer vector with a positive pivot entry
+    and is the RREF row ``want`` after division by that entry; the two
+    together fix the row."""
+    pivots, got = ela._echelon_rows(rows)
+    assert pivots == [min(row) for row in want]
+    for p, row in zip(pivots, got):
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    assert unit(pivots, got) == want
 
 
 def matrix(rows):

@@ -1,6 +1,7 @@
 """The exact RREF and kernel against an independent implementation, sympy's."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -44,10 +45,16 @@ SETTINGS = hypothesis.settings(max_examples=300, derandomize=True,
 @SETTINGS
 @hypothesis.given(rational_matrices())
 def test_rref_matches_sympy(dense):
+    # the kernel's rows are primitive integer vectors with a positive
+    # pivot entry; divided by it, they are the RREF
     pivots, got = ela._echelon_rows(ela._int_rows(_rows(dense)))
+    for p, row in zip(pivots, got):
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
     want, want_pivots = sympy.Matrix(dense).rref()
     assert pivots == list(want_pivots)
-    assert [[row.get(j, 0) for j in range(len(dense[0]))] for row in got] == [
+    assert [[Fraction(row.get(j, 0), row[p]) for j in range(len(dense[0]))]
+            for p, row in zip(pivots, got)] == [
         [_fraction(x) for x in want.row(i)]
         for i in range(len(want_pivots))]
 

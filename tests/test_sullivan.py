@@ -36,6 +36,22 @@ def test_sphere_two_stage_model():
     assert model.verify_quasi_iso(6).ok
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, -1])
+def test_stage_outside_the_built_degrees_rejected(n):
+    # stages start at degree 2, so n = 0 and 1 must not wrap round to the
+    # last stages
+    model = sullivan.build(sphere_target(), 6)
+    assert [model.stage(k).degree for k in range(2, 7)] == [2, 3, 4, 5, 6]
+    with pytest.raises(ValueError, match=r"degree %d: built degrees 2\.\.6" % n):
+        model.stage(n)
+
+
+def test_stage_of_an_empty_model_rejected():
+    model = sullivan.MinimalModel(sphere_target())
+    with pytest.raises(ValueError, match="built no degrees"):
+        model.stage(2)
+
+
 def test_not_one_connected_rejected():
     gs = GeneratorSet(0)
     gs.add("t", 1)

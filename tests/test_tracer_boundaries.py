@@ -72,6 +72,9 @@ def test_count_hooks_read_real_results():
     assert counts["echelon_rows_in"] == len(rows) > 0
     assert counts["echelon_rank_out"] == len(echelon[0]) > 0
     assert counts["max_coeff_bits"] >= 1
+    # the reported size is that of the integer rows the kernel returns
+    assert counts["max_coeff_bits"] == max(
+        v.bit_length() for row in echelon[1] for v in row.values())
 
 
 def test_d_matrix_read_once_per_cohomology_block(monkeypatch):
