@@ -12,12 +12,13 @@ Two flavours share the class:
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from it with the Leibniz
 rule on the last factor, in integers, once per monomial. A block of d is
-assembled once per cohomology block and is not kept; it goes to the
-elimination as integer rows, cleared one row (target monomial) at a time:
-RREF and the canonical kernel vectors do not change under row scaling,
-although they do under column scaling. The cohomology block keeps those
-rows for the model's d²=0 check. ``Element``s are built only at the API
-edge (``d_monomial``, ``apply_d``).
+assembled once per cohomology block, over the target monomials its
+images hit, and is not kept; it goes to the elimination as the integer
+rows of den·d, with den the lcm of the block's denominators: RREF and
+the canonical kernel vectors do not change under row scaling, although
+they do under column scaling. The cohomology block keeps those rows for
+the model's d²=0 check. ``Element``s are built only at the API edge
+(``d_monomial``, ``apply_d``, ``as_element``).
 
 A quotient keeps one record per degree, read off the row-reduced span of
 the relations in that degree. Every relation has one degree and one
@@ -77,6 +78,12 @@ class CohomologyBlock:
 _NO_D = (1, {})  # the integer differential of a cocycle; never mutated
 
 
+def as_element(gs, image) -> Element:
+    """The ``Element`` view of an integer image ``(den, {monomial: int})``."""
+    den, terms = image
+    return Element(gs, {m: Fraction(c, den) for m, c in terms.items()})
+
+
 class DGA:
     def __init__(self, gs: GeneratorSet, differential=None, relations=None):
         self.gs = gs
@@ -127,15 +134,24 @@ class DGA:
 
     # -- construction ------------------------------------------------------
 
-    def add_generator(self, name, degree, weight, d_image: Element):
-        """Append a generator with its differential (model growth path).
+    def add_generator(self, name, degree, weight, d_image):
+        """Append a generator with its differential, the integer image
+        ``(den, {monomial: int})`` (model growth path); returns the
+        generator and keeps the image itself.
 
-        Nothing is checked here: the model construction checks d(d(v)) = 0
-        for a whole block at once, and ``d_matrix`` rejects a differential
-        that leaves its (degree, weight) block.
+        Only the block is checked here: every term of d_image must have
+        the degree degree+1 and the generator's weight, so that d maps
+        every (degree, weight) block into one block. The model
+        construction checks d(d(v)) = 0 for a whole block at once.
         """
-        g = self.gs.add(name, degree, weight)
-        self._d_gen[g.index] = ela._cleared(d_image.terms)
+        gs = self.gs
+        w = tuple(weight) if weight is not None else (0,) * gs.weight_len
+        for m in d_image[1]:
+            if gs.degree(m) != degree + 1 or gs.weight(m) != w:
+                raise InternalInconsistency(
+                    f"d({name}) leaves the ({degree + 1}, {w}) block")
+        g = gs.add(name, degree, w)
+        self._d_gen[g.index] = d_image
         return g
 
     # -- differential -------------------------------------------------------
@@ -197,8 +213,7 @@ class DGA:
 
     def d_monomial(self, m: Monomial) -> Element:
         """d(m) as an ``Element``: an uncached view of the integer form."""
-        den, terms = self._d_int(m)
-        return Element(self.gs, {mm: Fraction(c, den) for mm, c in terms.items()})
+        return as_element(self.gs, self._d_int(m))
 
     def apply_d(self, x: Element) -> Element:
         out = self.gs.zero()
@@ -336,53 +351,46 @@ class DGA:
     # -- cohomology -----------------------------------------------------------
 
     def d_matrix(self, n: int, weight=None):
-        """(source basis, target basis, matrix of d: n -> n+1) in the block,
-        assembled on every call.
+        """(source basis, target monomials, matrix of d: n -> n+1) in the
+        block, assembled on every call.
 
-        Entries are exact: ``int`` where the source monomial's differential
-        is integral, ``Fraction`` elsewhere.
+        The target monomials are the ones the sources' images hit, in
+        first-hit order, one nonzero row each. ``mat.rows`` are the integer
+        rows of den·d with den = ``mat.den``, the lcm of the sources'
+        denominators. Columns are filled in source order, so each row's
+        columns are increasing.
         """
         src = self.basis(n, weight)
-        dst = self.basis(n + 1, weight)
-        index = {m: i for i, m in enumerate(dst)}
-        rows = [{} for _ in dst]
-        d_int = self._d_int
-        try:
-            for j, m in enumerate(src):
-                den, terms = d_int(m)
-                if den == 1:
-                    for mm, c in terms.items():
-                        rows[index[mm]][j] = c
+        images = [self._d_int(m) for m in src]
+        den = lcm(*(dm for dm, _ in images))
+        hit: dict = {}  # target monomial -> its row
+        for j, (dm, terms) in enumerate(images):
+            s = den // dm
+            for mm, c in terms.items():
+                row = hit.get(mm)
+                if row is None:
+                    hit[mm] = {j: c * s}
                 else:
-                    for mm, c in terms.items():
-                        rows[index[mm]][j] = Fraction(c, den)
-        except KeyError:
-            raise InternalInconsistency(
-                "differential left the (degree, weight) block") from None
-        return src, dst, ela.RationalMatrix(len(dst), len(src), rows)
+                    row[j] = c * s
+        return src, list(hit), ela.RationalMatrix(len(hit), len(src),
+                                                  list(hit.values()), den)
 
     def _d_rows(self, n: int, w):
-        """The source basis of ``d_matrix(n, w)`` and the matrix's nonzero
-        rows as integer ``(cols, nums)`` pairs, each cleared of its own
-        denominators: RREF and the kernel do not change under row scaling."""
+        """The source basis of ``d_matrix(n, w)`` and the matrix's rows as
+        integer ``(cols, nums)`` pairs: RREF and the kernel do not change
+        under row scaling."""
         src, _, mat = self.d_matrix(n, w)
-        return src, ela._int_rows(mat.rows)
+        return src, [(tuple(row), tuple(row.values())) for row in mat.rows]
 
     def _coboundary_rows(self, n: int, w, src) -> list:
         """The columns of d: n-1 -> n in the block, as integer rows over
         the positions of ``src``, the block's degree-n basis; a zero column
-        gives ``((), ())``."""
+        gives ``((), ())``. d keeps to the block: ``add_generator`` checks
+        every image."""
         index = {m: i for i, m in enumerate(src)}
         d_int = self._d_int
-        out = []
-        for m in self.basis(n - 1, w):
-            try:
-                out.append(ela._row((index[mm], c)
-                                    for mm, c in d_int(m)[1].items()))
-            except KeyError:
-                raise InternalInconsistency(
-                    "differential left the (degree, weight) block") from None
-        return out
+        return [ela._row((index[mm], c) for mm, c in d_int(m)[1].items())
+                for m in self.basis(n - 1, w)]
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
         """Exact coboundaries and a canonical basis of cohomology.

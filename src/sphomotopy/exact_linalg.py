@@ -28,20 +28,22 @@ _ONE = Fraction(1)
 
 
 class RationalMatrix:
-    """Sparse rows with exact rational entries: the d-block record that
-    ``dga.DGA.d_matrix`` returns and the left side of ``preimage_many``.
+    """Sparse rows over a common denominator: the matrix ``rows / den``.
+    It is the d-block record that ``dga.DGA.d_matrix`` returns and the
+    left side of ``preimage_many``.
 
     Nothing in the package computes with it; it is kept only because the
     benchmark's layer tracer reads ``rows`` and ``ncols`` from the
     ``d_matrix`` result and wraps ``preimage_many``.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "den")
 
-    def __init__(self, nrows: int, ncols: int, rows):
+    def __init__(self, nrows: int, ncols: int, rows, den: int = 1):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
+        self.den = den
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
@@ -158,19 +160,20 @@ def _echelon_rows(int_rows):
                 seq += 1
         pivots.append((col, pc, pn))
 
-    # clear pivot columns above each pivot, right to left
-    for i in range(len(pivots) - 1, 0, -1):
-        ci, pci, pni = pivots[i]
-        a0 = pni[0]
-        for j in range(i):
-            cj, tc, tn = pivots[j]
-            k = bisect_left(tc, ci)
-            if k < len(tc) and tc[k] == ci:
-                b0 = tn[k]
-                g = gcd(a0, b0)
-                rc, rn = _combine(tc, tn, pci, pni, a0 // g, b0 // g)
-                rc, rn = _strip(rc, rn)
-                pivots[j] = (cj, rc, rn)
+    # clear the other pivot columns of each row, bottom row first: the rows
+    # below are reduced already, so subtracting one clears its pivot column
+    # and brings in no other pivot column
+    where = {col: k for k, (col, _, _) in enumerate(pivots)}
+    for i in range(len(pivots) - 2, -1, -1):
+        ci, tc, tn = pivots[i]
+        held = [pivots[where[c]] for c in tc[1:] if c in where]
+        for cj, pc, pn in held:
+            a0 = pn[0]
+            b0 = tn[bisect_left(tc, cj)]
+            g = gcd(a0, b0)
+            tc, tn = _strip(*_combine(tc, tn, pc, pn, a0 // g, b0 // g))
+        if held:
+            pivots[i] = (ci, tc, tn)
 
     out = []
     for _, cols, nums in pivots:
@@ -244,7 +247,8 @@ def cokernel_complement_indices(image_gens, ambient_dim: int):
 
 
 def _solve_augmented(m: RationalMatrix, bs):
-    """RREF of [m | b_0 ... b_{k-1}]; returns (pivots, rows)."""
+    """RREF of [den·m | den·b_0 ... den·b_{k-1}], with ``m.rows`` standing
+    for den·m; returns (pivots, rows)."""
     rows = [dict(r) for r in m.rows]
     for k, b in enumerate(bs):
         col = m.ncols + k
@@ -253,7 +257,7 @@ def _solve_augmented(m: RationalMatrix, bs):
             if v:
                 if i >= m.nrows:
                     raise ValueError("right side longer than matrix height")
-                rows[i][col] = Fraction(v)
+                rows[i][col] = Fraction(v) * m.den
     return _echelon_rows(_int_rows(rows))
 
 

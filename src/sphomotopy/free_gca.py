@@ -137,8 +137,15 @@ class GeneratorSet:
         return Monomial(((g.ordinal, 1),), 0)
 
     def degree(self, m: Monomial) -> int:
-        d = sum(self.even[o].degree * e for o, e in m.even)
-        d += sum(self.odd[o].degree for o in _bits(m.odd))
+        even, odd = self.even, self.odd
+        d = 0
+        for o, e in m.even:
+            d += even[o].degree * e
+        mask = m.odd
+        while mask:
+            low = mask & -mask
+            d += odd[low.bit_length() - 1].degree
+            mask ^= low
         return d
 
     def weight(self, m: Monomial) -> tuple:
@@ -367,28 +374,43 @@ class Element:
                             if gs.word_length(m) >= k})
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        gs = self.gs
-        keyed = sorted(self.terms.items(), key=lambda t: (gs.degree(t[0]), t[0]))
-        pieces = []
-        for i, (m, c) in enumerate(keyed):
-            body = render_monomial(gs, m)
-            mag = abs(c)
-            if body == "1":
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}·{body}"
-            if i == 0:
-                pieces.append(piece if c > 0 else f"-{piece}")
-            else:
-                pieces.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(pieces)
+        return render_terms(self.gs, self.terms)
 
     def __repr__(self):
         return f"<Element {self.render()}>"
+
+
+def render_terms(gs: GeneratorSet, terms: dict, den: int = 1,
+                 names: dict | None = None) -> str:
+    """The combination Σ (c/den)·m over ``terms`` ``{monomial: c}`` as text:
+    terms by degree, then monomial; '+'/'-' between them and unit
+    coefficients left out. ``names`` caches each monomial's (degree, name)
+    across calls."""
+    if not terms:
+        return "0"
+    if names is None:
+        names = {}
+    keyed = []
+    for m, c in terms.items():
+        info = names.get(m)
+        if info is None:
+            info = names[m] = (gs.degree(m), render_monomial(gs, m))
+        keyed.append((info[0], m, info[1], c))
+    keyed.sort()  # (degree, monomial) is unique, so no name or c is compared
+    pieces = []
+    for _, _, body, c in keyed:
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
+        if body == "1":
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}·{body}"
+        if pieces:
+            pieces.append(f" + {piece}" if c > 0 else f" - {piece}")
+        else:
+            pieces.append(piece if c > 0 else f"-{piece}")
+    return "".join(pieces)
 
 
 def render_monomial(gs: GeneratorSet, m: Monomial) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import NotACharacter
 
@@ -96,19 +95,27 @@ def _dominant_orbit_rep(w) -> tuple:
 
 
 def weyl_orbit(w):
-    """All signed permutations of the weight."""
+    """All signed permutations of the weight, each made once: the
+    positions are filled left to right from the multiset of absolute
+    values, one distinct value (and, if nonzero, each sign) at a time."""
+    left: dict = {}
+    for x in w:
+        left[abs(x)] = left.get(abs(x), 0) + 1
     out = set()
-    for p in set(permutations(w)):
-        stack = [((), p)]
-        while stack:
-            done, rest = stack.pop()
-            if not rest:
-                out.add(done)
-                continue
-            head, tail = rest[0], rest[1:]
-            stack.append((done + (head,), tail))
-            if head:
-                stack.append((done + (-head,), tail))
+
+    def fill(prefix, k):
+        if not k:
+            out.add(prefix)
+            return
+        for v, c in left.items():
+            if c:
+                left[v] = c - 1
+                fill(prefix + (v,), k - 1)
+                if v:
+                    fill(prefix + (-v,), k - 1)
+                left[v] = c
+
+    fill((), len(w))
     return out
 
 

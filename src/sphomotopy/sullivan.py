@@ -47,26 +47,43 @@ the stage decompositions are choice-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact_linalg as ela
 from . import moduli, sp_characters
-from .dga import DGA
+from .dga import _NO_D, DGA, as_element
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
 from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
-                       configured_budget)
+                       configured_budget, render_terms)
 
 
 @dataclass
 class StageGenerator:
+    """One generator of a stage. ``d_int`` is the model DGA's own integer
+    image ``(den, {monomial: int})`` of d(v), and ``rho`` the target
+    monomial ρ(v), or None when ρ(v) = 0; ``d_image`` and ``rho_image``
+    are ``Element`` views of them, built on access."""
+
     name: str
     degree: int
     weight: tuple
     part: str  # 'C' or 'N'
-    d_image: Element
-    rho_image: Element
+    d_int: tuple
+    rho: Monomial | None
+    gs: GeneratorSet = field(repr=False)
+    target_gs: GeneratorSet = field(repr=False)
+
+    @property
+    def d_image(self) -> Element:
+        return as_element(self.gs, self.d_int)
+
+    @property
+    def rho_image(self) -> Element:
+        if self.rho is None:
+            return self.target_gs.zero()
+        return Element(self.target_gs, {self.rho: Fraction(1)})
 
 
 @dataclass
@@ -102,6 +119,10 @@ class MinimalModel:
         self.stages: list[MinimalModelStage] = []
         # generator index -> its target monomial; absent when ρ(g) = 0
         self.rho: dict[int, Monomial] = {}
+        # the generators with ρ(g) = 0: a mask of odd ordinals and a set
+        # of even ordinals
+        self._null_odd = 0
+        self._null_even: set = set()
         # (n, {weight: complement positions in A^n_w}) for the next stage;
         # H^2 of the empty model is 0
         self._complements: tuple = (2, {})
@@ -115,21 +136,18 @@ class MinimalModel:
 
         Reducing once at the end is reducing after every factor, since
         ``reduce`` is the projection whose kernel is the ideal. A factor
-        that maps to 0, or an odd square in the product, gives 0. Nothing
-        is cached: the model loop reads each monomial's image once.
+        that maps to 0, tested for every factor before any product, or an
+        odd square in the product, gives 0. Nothing is cached.
         """
-        gs, rho, A = self.dga.gs, self.rho, self.target
+        A = self.target
+        null_even = self._null_even
+        if m.odd & self._null_odd or any(o in null_even for o, _ in m.even):
+            return A.gs.zero()
+        gs, rho = self.dga.gs, self.rho
         monos = []
         for o, e in m.even:
-            mono = rho.get(gs.even[o].index)
-            if mono is None:
-                return A.gs.zero()
-            monos += [mono] * e
-        for o in _bits(m.odd):
-            mono = rho.get(gs.odd[o].index)
-            if mono is None:
-                return A.gs.zero()
-            monos.append(mono)
+            monos += [rho[gs.even[o].index]] * e
+        monos += [rho[gs.odd[o].index] for o in _bits(m.odd)]
         mul = A.gs.mul_monomials
         sign, prod = 1, ONE
         for mono in monos:
@@ -174,18 +192,22 @@ class MinimalModel:
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
                   rho_mono):
-        """Adjoin one generator with ρ(g) the target monomial ``rho_mono``,
-        or 0 if it is None. Its postconditions are the caller's: block
-        identities in ``extend_stage``, direct checks in ``invariant_model``."""
+        """Adjoin one generator with d(g) the integer image ``d_image``
+        ``(den, {monomial: int})`` and ρ(g) the target monomial
+        ``rho_mono``, or 0 if it is None. ``DGA.add_generator`` checks that
+        d(g) stays in the generator's block; the other postconditions are
+        the caller's: block identities in ``extend_stage``, direct checks
+        in ``invariant_model``."""
         g = self.dga.add_generator(name, degree, weight, d_image)
-        tgs = self.target.gs
         if rho_mono is None:
-            rho_image = tgs.zero()
+            if g.is_odd:
+                self._null_odd |= 1 << g.ordinal
+            else:
+                self._null_even.add(g.ordinal)
         else:
             self.rho[g.index] = rho_mono
-            rho_image = Element(tgs, {rho_mono: Fraction(1)})
-        stage_gens.append(StageGenerator(name, degree, tuple(weight), part,
-                                         d_image, rho_image))
+        stage_gens.append(StageGenerator(name, degree, g.weight, part, d_image,
+                                         rho_mono, self.dga.gs, self.target.gs))
 
     def extend_stage(self, n: int) -> MinimalModelStage:
         """Compute and adjoin the degree-n generators.
@@ -256,11 +278,8 @@ class MinimalModel:
 
         # register after all cohomology in the old algebra is computed
         for w, mono in c_plan:
-            self._register(stage_gens, fresh_name(w), n, w, "C",
-                           gs.zero(), mono)
+            self._register(stage_gens, fresh_name(w), n, w, "C", _NO_D, mono)
         for w, d_img in n_plan:
-            if d_img.weight() != w:
-                raise InternalInconsistency("differential image off-weight")
             self._register(stage_gens, fresh_name(w), n, w, "N", d_img, None)
         stage = MinimalModelStage(n, stage_gens)
         self.stages.append(stage)
@@ -269,8 +288,8 @@ class MinimalModel:
 
     def _kernel_part(self, blk, rho_cols, kernel) -> list:
         """The N generators' differentials for one block of H^{n+1}, as
-        ``(weight, d_image)`` pairs, after the postconditions are checked
-        for the whole block against its inputs:
+        ``(weight, (den, {monomial: int}))`` pairs, after the postconditions
+        are checked for the whole block against its inputs:
 
         * ρ∘d = 0: the ρ* matrix ``rho_cols`` (one target vector per
           representative) kills every kernel vector;
@@ -295,18 +314,18 @@ class MinimalModel:
             for j, c in kv.items():
                 for i, v in reps[j].items():
                     vec[i] = vec.get(i, 0) + c * v
-            vecs.append({i: v for i, v in vec.items() if v})
+            vecs.append(ela._cleared({i: v for i, v in vec.items() if v}))
         src = blk.monomials
         gs = self.dga.gs
         low = {i for i, m in enumerate(src) if gs.word_length(m) < 2}
-        if low and any(not low.isdisjoint(vec) for vec in vecs):
+        if low and any(not low.isdisjoint(vec) for _, vec in vecs):
             raise InternalInconsistency(
                 f"a new differential has a word-length-1 term at weight {blk.weight}")
-        if not ela._kills(blk.d_rows, ela._int_rows(vecs)):
+        if not ela._kills(blk.d_rows, [ela._row(vec.items()) for _, vec in vecs]):
             raise InternalInconsistency(
                 f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
-        return [(blk.weight, Element(gs, {src[i]: v for i, v in vec.items()}))
-                for vec in vecs]
+        return [(blk.weight, (den, {src[i]: c for i, c in vec.items()}))
+                for den, vec in vecs]
 
     # -- reports ---------------------------------------------------------------
 
@@ -360,6 +379,11 @@ class MinimalModel:
         return bad
 
     def to_json_dict(self, genus=None) -> dict:
+        """The stages as plain data, each image rendered from its integer
+        form, each monomial's name once per dump."""
+        names: dict = {}  # model monomial -> (degree, name)
+        target_names: dict = {}
+        gs, tgs = self.dga.gs, self.target.gs
         stages = []
         for s in self.stages:
             irreps = sorted(s.irreps().items(), reverse=True)
@@ -373,8 +397,10 @@ class MinimalModel:
                         "degree": g.degree,
                         "weight": list(g.weight),
                         "part": g.part,
-                        "d_image": g.d_image.render(),
-                        "rho_image": g.rho_image.render(),
+                        "d_image": render_terms(gs, g.d_int[1], g.d_int[0],
+                                                names),
+                        "rho_image": "0" if g.rho is None else
+                        render_terms(tgs, {g.rho: 1}, 1, target_names),
                     }
                     for g in s.generators
                 ],
@@ -444,7 +470,6 @@ def invariant_model(g: int, max_degree: int,
     A = invariant_target(g, check_up_to=max_degree + 2)
     model = MinimalModel(A, budget)
     q = moduli.q_polynomials(g)
-    gs = model.dga.gs
     zero_w = (0,) * g
     # registration order puts the even cocycles first: their classes can
     # appear linearly in the relation polynomials when the genus is small
@@ -459,11 +484,11 @@ def invariant_model(g: int, max_degree: int,
     by_degree: dict = {}
     for name, deg, part, d_poly, rho_name in plan:
         if d_poly is None:
-            d_img = gs.zero()
+            d_img = _NO_D
             rho_mono = A.gs.monomial_of(rho_name)
         else:
             # relation polynomials live on even ordinals matching ours
-            d_img = Element(gs, dict(d_poly.terms))
+            d_img = ela._cleared(d_poly.terms)
             rho_mono = None
         bucket: list[StageGenerator] = by_degree.setdefault(deg, [])
         model._register(bucket, name, deg, zero_w, part, d_img, rho_mono)

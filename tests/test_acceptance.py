@@ -185,6 +185,24 @@ def test_criterion_8e_hyperbolicity_signal(capsys, g2_deep, g3_model, g4_model):
         report("8e", "nonzero homotopy in every degree from 2g-1 up", ok)
 
 
+def test_criterion_8i_nontrivial_representation(capsys, g2_deep, g3_model,
+                                                g4_model):
+    """The abstract: π_n ⊗ C is a non-trivial Sp(2g, C)-representation for
+    n >= 2g-1. The model shows an irrep other than the trivial one in
+    every built degree n >= 2g (n >= 3 at genus 2), while π_{2g-1} is the
+    one-dimensional trivial representation at genus 3 and 4."""
+    ok = True
+    for m, g in ((g2_deep, 2), (g3_model, 3), (g4_model, 4)):
+        top = max(s.degree for s in m.stages)
+        for n in range(2 * g if g > 2 else 3, top + 1):
+            ok = ok and any(any(label) for label in m.stage(n).irreps())
+    for m, g in ((g3_model, 3), (g4_model, 4)):
+        ok = ok and m.stage(2 * g - 1).irreps() == {(0,) * g: 1}
+    with capsys.disabled():
+        report("8i", "a non-trivial irrep in π_n for n >= 2g; π_{2g-1} "
+               "trivial at genus 3, 4", ok)
+
+
 def test_criterion_8f_character_roundtrip(capsys):
     ok = True
     for g in (2, 3):

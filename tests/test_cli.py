@@ -153,6 +153,15 @@ def test_default_budget_refuses_genus_300_first(monkeypatch, argv):
     assert res.stdout == ""
 
 
+def test_invariant_model_genus_12_is_quick():
+    """The genus-12 stages are trivial representations; decomposing them
+    must not walk the 12! permutations of a zero weight."""
+    res = run_cli("minimal-model", "--genus", "12", "--target", "invariant",
+                  "--max-degree", "27", timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert "V^27: dim 1  [Γ(0,0,0,0,0,0,0,0,0,0,0,0)]" in res.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ("relations", "--genus", "0"),
     ("minimal-model", "--genus", "2", "--max-degree", "1"),

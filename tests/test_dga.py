@@ -11,6 +11,12 @@ from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 from quotient_reference import whole_degree_quotient
 
 
+def integer_image(x: Element):
+    """The integer image ``(den, {monomial: int})`` that ``add_generator``
+    takes."""
+    return ela._cleared(x.terms)
+
+
 @pytest.fixture
 def sphere_model():
     gs = GeneratorSet(0)
@@ -74,8 +80,8 @@ def test_d_squared_violation_detected():
     gs.add("b", 3)
     a, b = gs.gen("a"), gs.gen("b")
     broken = DGA(gs, {"b": a * a})
-    # add_generator checks nothing
-    broken.add_generator("c", 4, None, a * b)
+    # add_generator checks only that d(c) stays in c's block
+    broken.add_generator("c", 4, None, integer_image(a * b))
     assert broken.check_d_squared() == ["c"]
     # construction-time rejection of the same data
     gs2 = GeneratorSet(0)
@@ -149,11 +155,42 @@ def test_d_matrix_sees_added_generator():
     for n in range(6):
         d.d_matrix(n)
     x = gs.gen("x")
-    d.add_generator("y", 3, None, x * x)
+    d.add_generator("y", 3, None, integer_image(x * x))
     # a block read before the generator came sees it now: d(y) = x²
     src, dst, mat = d.d_matrix(3)
     assert src == gs.basis(3) and dst == gs.basis(4)
     assert mat.rows == [{0: 1}]
+
+
+def test_d_matrix_rows_are_the_hit_monomials():
+    """d_matrix rows are the target monomials the images hit, in
+    first-hit order, and no basis of the target degree is built."""
+    gs = GeneratorSet(0)
+    for name, degree in (("x", 2), ("y", 3), ("z", 3), ("u", 4)):
+        gs.add(name, degree)
+    x, y = gs.gen("x"), gs.gen("y")
+    d = DGA(gs, {"z": x * x, "u": x * y})
+    src, dst, mat = d.d_matrix(3)
+    assert src == [Monomial((), 0b01), Monomial((), 0b10)]  # y, z
+    assert dst == [Monomial(((0, 2),), 0)] and mat.rows == [{1: 1}]
+    assert (mat.nrows, mat.ncols, mat.den) == (1, 2, 1)
+    assert 4 not in gs._bases
+
+
+@pytest.mark.parametrize("degree, weight, image", [
+    (4, None, lambda x, y: x * x),       # degree 4, not 5
+    (3, (1,), lambda x, y: x * x),       # weight (0,), not (1,)
+    (4, (0,), lambda x, y: x * y + y),   # one term of degree 3
+], ids=["degree", "weight", "mixed"])
+def test_add_generator_rejects_an_image_off_its_block(degree, weight, image):
+    gs = GeneratorSet(1)
+    gs.add("x", 2, (0,))
+    gs.add("y", 3, (0,))
+    x, y = gs.gen("x"), gs.gen("y")
+    dga = DGA(gs, {})
+    with pytest.raises(InternalInconsistency, match=r"d\(v\) leaves the"):
+        dga.add_generator("v", degree, weight, integer_image(image(x, y)))
+    assert len(gs) == 2  # nothing was adjoined
 
 
 def test_weight_blocks_sum_to_total():
@@ -279,7 +316,7 @@ def test_pivot_record_of_a_grown_source_is_not_used():
         dga = DGA(gs, {"y": x * x})
         if record_first:
             dga.cohomology(4)  # records d(4) on the source [x²]
-        dga.add_generator("v", 4, None, x * z)
+        dga.add_generator("v", 4, None, integer_image(x * z))
         return dga
 
     grown, ref = algebra(True).cohomology(5), algebra(False).cohomology(5)
@@ -297,8 +334,8 @@ def test_coboundary_outside_cocycles_detected():
     gs.add("e", 5)
     a, b, e = gs.gen("a"), gs.gen("b"), gs.gen("e")
     broken = DGA(gs, {"b": a * a})
-    # add_generator checks nothing
-    broken.add_generator("c", 4, None, a * b + e)
+    # add_generator checks only that d(c) stays in c's block
+    broken.add_generator("c", 4, None, integer_image(a * b + e))
     assert broken.check_d_squared() == ["c"]
     with pytest.raises(InternalInconsistency):
         broken.cohomology(5)
@@ -327,6 +364,14 @@ def test_stage_computes_only_next_degree_cohomology(monkeypatch):
     # the empty model has no degree-3 monomials, so stage 2 computes none
     assert {stage for stage, _ in calls} == set(range(3, 9))
     assert all(n == stage + 1 for stage, n in calls)
+
+
+def test_build_enumerates_no_basis_above_max_degree_plus_one():
+    """The top stage's d(D+1) blocks are assembled over the monomials they
+    hit: the free basis of degree D+2 is never built."""
+    for genus, top in ((2, 8), (3, 7)):
+        gs = sullivan.build(sullivan.moduli_target(genus), top).dga.gs
+        assert top + 1 in gs._bases and top + 2 not in gs._bases
 
 
 def _reference_d(dga, m):
@@ -368,10 +413,14 @@ def test_integer_d_matrix_matches_element_reference(genus, top, fractions):
             for j, m in enumerate(src):
                 for mm, c in _reference_d(dga, m).terms.items():
                     want[index[mm]][j] = c
-            got = [{j: Fraction(v) for j, v in row.items()} for row in mat.rows]
+            # integer rows of den·d, columns increasing, none of them zero
+            assert all(type(v) is int for row in mat.rows for v in row.values())
+            assert all(row and list(row) == sorted(row) for row in mat.rows)
+            got = [{j: Fraction(v, mat.den) for j, v in row.items()}
+                   for row in mat.rows]
             assert got == want, (n, w)
             blocks += 1
-            fractional += any(Fraction(v).denominator > 1
-                              for row in mat.rows for v in row.values())
+            fractional += any(v.denominator > 1
+                              for row in got for v in row.values())
     assert blocks > 50
     assert bool(fractional) == fractions

@@ -148,6 +148,12 @@ def test_preimage_scalar():
     assert ela.preimage_many(matrix([[2]]), [(1,)])[0] == (F(1, 2),)
 
 
+def test_preimage_over_common_denominator():
+    # rows / den: the matrix [[1/2, 3/2]] stored as [[1, 3]] over 2
+    m = ela.RationalMatrix(1, 2, [{0: 1, 1: 3}], den=2)
+    assert ela.preimage_many(m, [(1,)])[0] == (2, 0)
+
+
 def test_preimage_free_vars_zero():
     assert ela.preimage_many(matrix([[1, 1]]), [(3,)])[0] == (3, 0)
 

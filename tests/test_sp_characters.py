@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
@@ -71,6 +72,23 @@ def test_characters_weyl_symmetric(g):
         for w, m in char.items():
             for orbit_point in sp.weyl_orbit(w):
                 assert char.get(orbit_point) == m
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_weyl_orbit_matches_brute_force(g):
+    """Every weight with entries in -2..2: the orbit made one distinct
+    value at a time is the set of all signed permutations."""
+    for w in product(range(-2, 3), repeat=g):
+        brute = {tuple(s * x for s, x in zip(signs, p))
+                 for p in permutations(w)
+                 for signs in product((1, -1), repeat=g)}
+        assert sp.weyl_orbit(w) == brute, w
+
+
+def test_weyl_orbit_of_repeated_entries_is_small():
+    # 50! permutations of one value: the orbit is made without them
+    assert sp.weyl_orbit((0,) * 50) == {(0,) * 50}
+    assert sp.decompose({(0,) * 12: 1}) == {(0,) * 12: 1}
 
 
 def _labels(g, max_entry):
