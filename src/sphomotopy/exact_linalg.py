@@ -39,7 +39,7 @@ class RationalMatrix:
 
     __slots__ = ("nrows", "ncols", "rows", "den")
 
-    def __init__(self, nrows: int, ncols: int, rows, den: int = 1):
+    def __init__(self, nrows: int, ncols: int, rows, den: int):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows

@@ -137,15 +137,8 @@ class GeneratorSet:
         return Monomial(((g.ordinal, 1),), 0)
 
     def degree(self, m: Monomial) -> int:
-        even, odd = self.even, self.odd
-        d = 0
-        for o, e in m.even:
-            d += even[o].degree * e
-        mask = m.odd
-        while mask:
-            low = mask & -mask
-            d += odd[low.bit_length() - 1].degree
-            mask ^= low
+        d = sum(self.even[o].degree * e for o, e in m.even)
+        d += sum(self.odd[o].degree for o in _bits(m.odd))
         return d
 
     def weight(self, m: Monomial) -> tuple:
@@ -374,31 +367,22 @@ class Element:
                             if gs.word_length(m) >= k})
 
     def render(self) -> str:
-        return render_terms(self.gs, self.terms)
+        return render_terms(self.gs, self.terms, 1)
 
     def __repr__(self):
         return f"<Element {self.render()}>"
 
 
-def render_terms(gs: GeneratorSet, terms: dict, den: int = 1,
-                 names: dict | None = None) -> str:
+def render_terms(gs: GeneratorSet, terms: dict, den: int) -> str:
     """The combination Σ (c/den)·m over ``terms`` ``{monomial: c}`` as text:
     terms by degree, then monomial; '+'/'-' between them and unit
-    coefficients left out. ``names`` caches each monomial's (degree, name)
-    across calls."""
+    coefficients left out."""
     if not terms:
         return "0"
-    if names is None:
-        names = {}
-    keyed = []
-    for m, c in terms.items():
-        info = names.get(m)
-        if info is None:
-            info = names[m] = (gs.degree(m), render_monomial(gs, m))
-        keyed.append((info[0], m, info[1], c))
-    keyed.sort()  # (degree, monomial) is unique, so no name or c is compared
+    keyed = sorted(terms.items(), key=lambda t: (gs.degree(t[0]), t[0]))
     pieces = []
-    for _, _, body, c in keyed:
+    for m, c in keyed:
+        body = render_monomial(gs, m)
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if body == "1":
             piece = str(mag)

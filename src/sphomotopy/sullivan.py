@@ -119,10 +119,6 @@ class MinimalModel:
         self.stages: list[MinimalModelStage] = []
         # generator index -> its target monomial; absent when ρ(g) = 0
         self.rho: dict[int, Monomial] = {}
-        # the generators with ρ(g) = 0: a mask of odd ordinals and a set
-        # of even ordinals
-        self._null_odd = 0
-        self._null_even: set = set()
         # (n, {weight: complement positions in A^n_w}) for the next stage;
         # H^2 of the empty model is 0
         self._complements: tuple = (2, {})
@@ -136,18 +132,21 @@ class MinimalModel:
 
         Reducing once at the end is reducing after every factor, since
         ``reduce`` is the projection whose kernel is the ideal. A factor
-        that maps to 0, tested for every factor before any product, or an
-        odd square in the product, gives 0. Nothing is cached.
+        that maps to 0, or an odd square in the product, gives 0. Nothing
+        is cached: the model loop reads each monomial's image once.
         """
-        A = self.target
-        null_even = self._null_even
-        if m.odd & self._null_odd or any(o in null_even for o, _ in m.even):
-            return A.gs.zero()
-        gs, rho = self.dga.gs, self.rho
+        gs, rho, A = self.dga.gs, self.rho, self.target
         monos = []
         for o, e in m.even:
-            monos += [rho[gs.even[o].index]] * e
-        monos += [rho[gs.odd[o].index] for o in _bits(m.odd)]
+            mono = rho.get(gs.even[o].index)
+            if mono is None:
+                return A.gs.zero()
+            monos += [mono] * e
+        for o in _bits(m.odd):
+            mono = rho.get(gs.odd[o].index)
+            if mono is None:
+                return A.gs.zero()
+            monos.append(mono)
         mul = A.gs.mul_monomials
         sign, prod = 1, ONE
         for mono in monos:
@@ -199,12 +198,7 @@ class MinimalModel:
         the caller's: block identities in ``extend_stage``, direct checks
         in ``invariant_model``."""
         g = self.dga.add_generator(name, degree, weight, d_image)
-        if rho_mono is None:
-            if g.is_odd:
-                self._null_odd |= 1 << g.ordinal
-            else:
-                self._null_even.add(g.ordinal)
-        else:
+        if rho_mono is not None:
             self.rho[g.index] = rho_mono
         stage_gens.append(StageGenerator(name, degree, g.weight, part, d_image,
                                          rho_mono, self.dga.gs, self.target.gs))
@@ -380,9 +374,7 @@ class MinimalModel:
 
     def to_json_dict(self, genus=None) -> dict:
         """The stages as plain data, each image rendered from its integer
-        form, each monomial's name once per dump."""
-        names: dict = {}  # model monomial -> (degree, name)
-        target_names: dict = {}
+        form."""
         gs, tgs = self.dga.gs, self.target.gs
         stages = []
         for s in self.stages:
@@ -397,10 +389,9 @@ class MinimalModel:
                         "degree": g.degree,
                         "weight": list(g.weight),
                         "part": g.part,
-                        "d_image": render_terms(gs, g.d_int[1], g.d_int[0],
-                                                names),
+                        "d_image": render_terms(gs, g.d_int[1], g.d_int[0]),
                         "rho_image": "0" if g.rho is None else
-                        render_terms(tgs, {g.rho: 1}, 1, target_names),
+                        render_terms(tgs, {g.rho: 1}, 1),
                     }
                     for g in s.generators
                 ],

@@ -126,7 +126,7 @@ def test_echelon_rows_primitive_positive_pivot(rows, want):
 
 def matrix(rows):
     """The solver's matrix record from dense rows of numbers."""
-    return ela.RationalMatrix(len(rows), len(rows[0]), rows_of(rows))
+    return ela.RationalMatrix(len(rows), len(rows[0]), rows_of(rows), 1)
 
 
 def apply(m, vec):
@@ -140,7 +140,7 @@ def apply(m, vec):
 
 
 def test_preimage_identity():
-    m = ela.RationalMatrix(3, 3, identity(3))
+    m = ela.RationalMatrix(3, 3, identity(3), 1)
     assert ela.preimage_many(m, [(5, -2, 7)])[0] == (5, -2, 7)
 
 
@@ -150,7 +150,7 @@ def test_preimage_scalar():
 
 def test_preimage_over_common_denominator():
     # rows / den: the matrix [[1/2, 3/2]] stored as [[1, 3]] over 2
-    m = ela.RationalMatrix(1, 2, [{0: 1, 1: 3}], den=2)
+    m = ela.RationalMatrix(1, 2, [{0: 1, 1: 3}], 2)
     assert ela.preimage_many(m, [(1,)])[0] == (2, 0)
 
 
@@ -182,7 +182,7 @@ def _random_matrix(rng, nrows, ncols, density=0.5):
             if rng.random() < density:
                 row[j] = F(rng.randint(-6, 6), rng.randint(1, 4))
         rows.append(row)
-    return ela.RationalMatrix(nrows, ncols, rows)
+    return ela.RationalMatrix(nrows, ncols, rows, 1)
 
 
 @pytest.mark.parametrize("seed", range(12))
