@@ -20,22 +20,24 @@ they do under column scaling. The cohomology block keeps those rows for
 the model's d²=0 check. ``Element``s are built only at the API edge
 (``d_monomial``, ``apply_d``, ``as_element``).
 
-A quotient keeps one record per degree, read off the row-reduced span of
-the relations in that degree. Every relation has one degree and one
-weight, so that span splits into (degree, weight) blocks, and each block
-is row-reduced on its own. The record holds each block's canonical
-monomial transversal (the non-pivot monomials) and, for each pivot
-monomial, its reduced form over the transversal. Reduction replaces each
-pivot monomial by its form, in one pass. It is the linear projection
-whose kernel is the ideal, so a product may be reduced once, after all
-its factors are multiplied: reduce(reduce(a)·b) = reduce(a·b).
-A degree's record is built when the degree is first read.
+A quotient keeps one record per degree, read off the row-reduced degree-n
+part of the ideal I the relations generate. I splits into (degree,
+weight) blocks, and ``ideal_block`` row-reduces each from the relations
+in it and generator multiples of the lower blocks' integer RREF rows,
+which the ring keeps beside the record. The record holds each block's
+canonical monomial transversal (the non-pivot monomials) and, for each
+pivot monomial, its reduced form over the transversal. Reduction
+replaces each pivot monomial by its form, in one pass. It is the linear
+projection whose kernel is the ideal, so a product may be reduced once,
+after all its factors are multiplied: reduce(reduce(a)·b) = reduce(a·b).
+A degree's record is built when it is first read, after the lower ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import sub
 
@@ -84,6 +86,51 @@ def as_element(gs, image) -> Element:
     return Element(gs, {m: Fraction(c, den) for m, c in terms.items()})
 
 
+def ideal_block(gs, relation_groups, n: int, w, lower):
+    """``(pivot_cols, rows)``: the RREF of I^n_w, the weight-w block of the
+    degree-n part of the ideal I that ``relation_groups`` (see
+    ``DGA.relation_groups``) generates, over the positions of the free
+    block ``gs.basis_by_weight(n)[w]``, as primitive integer rows.
+
+    I^n = E^n + Σ_x x·I^{n-|x|} over the generators x, since e·m =
+    ±x·(e·m') for e ∈ E and m = ±x·m' of positive degree. So the block is
+    row-reduced from the relations of degree n and weight w and the
+    products x·ρ, ρ over spanning rows of I^{n-|x|}_{w-weight(x)}; RREF is
+    unique, so which spanning rows go in does not matter. ``lower(k, u)``
+    gives them: None if I^k_u is zero, else ``(columns, rows)``, integer
+    ``(cols, nums)`` rows over columns that are ``(monomial, ±1)`` pairs,
+    read once in order. x·(-) is injective where the product does not
+    vanish, so terms map one by one without summing.
+    """
+    mul = gs.mul_monomials
+    index = {m: i for i, m in enumerate(gs.basis_by_weight(n)[w])}
+    rows = [ela._row((index[m], c) for m, c in terms)
+            for terms in relation_groups.get(n, {}).get(w, ())]
+    for x in gs.gens:
+        low = lower(n - x.degree, tuple(map(sub, w, x.weight))) \
+            if x.degree <= n else None
+        if low is None:
+            continue
+        columns, low_rows = low
+        xm = gs.monomial_of(x)
+        images = []  # lower column -> (sign, column) of x·(-)
+        for m, s in columns:
+            sx, mm = mul(xm, m)
+            images.append((s * sx, index[mm]) if sx else (0, 0))
+        for cols, nums in low_rows:
+            row = []
+            for c, v in zip(cols, nums):
+                s, col = images[c]
+                if s:
+                    row.append((col, s * v))
+            if row:
+                rows.append(ela._row(row))
+    pivot_cols, rref = ela._echelon_rows(rows)
+    # tuples of ints: the collector untracks them, so the blocks a caller
+    # keeps do not bring a full collection forward
+    return pivot_cols, [ela._row(row.items()) for row in rref]
+
+
 class DGA:
     def __init__(self, gs: GeneratorSet, differential=None, relations=None):
         self.gs = gs
@@ -111,12 +158,14 @@ class DGA:
                     raise ValidationFailure(
                         f"d({name}) must preserve the weight {g.weight}")
             self._d_gen[g.index] = ela._cleared(img.terms)
+        # degree -> weight -> the relations there as integer term lists
+        self.relation_groups: dict = {}
+        # degree -> {weight: (free monomials, RREF rows of the ideal)}
+        self._ideal_rows: dict = {}
         if self.relations is not None:
             if any(terms for _, terms in self._d_gen.values()):
                 raise ValidationFailure(
                     "quotient targets must carry the zero differential")
-            # degree -> weight -> [(position, integer terms)], see _quotient_block
-            self._rel_groups: dict = {}
             for pos, r in enumerate(self.relations):
                 try:
                     deg, wt = r.degree(), r.weight()
@@ -126,8 +175,8 @@ class DGA:
                     continue
                 # integer multiple of r: scaling a row leaves the RREF alone
                 _, terms = ela._cleared(r.terms)
-                self._rel_groups.setdefault(deg, {}).setdefault(wt, []).append(
-                    (pos, list(terms.items())))
+                self.relation_groups.setdefault(deg, {}).setdefault(wt, []).append(
+                    list(terms.items()))
         bad = self.check_d_squared()
         if bad:
             raise ValidationFailure(f"d·d != 0 on generators: {bad}")
@@ -253,73 +302,47 @@ class DGA:
         ``by_weight`` maps each weight with a nonzero block to its sorted
         transversal monomials (the non-pivot columns); ``pivots`` maps each
         pivot monomial to its reduced form ``{transversal monomial: Fraction}``.
-        The span of the products r·m is block-diagonal over weights, and
-        the RREF of a block-diagonal matrix is the union of its blocks'
-        RREFs; RREF is unique, so eliminating block by block gives the
-        degree-wide result. The degree-wide basis is sorted by weight
-        first, so a block's own column order is the degree-wide one.
+        The ideal is block-diagonal over weights, and the RREF of a
+        block-diagonal matrix is the union of its blocks' RREFs; RREF is
+        unique, so eliminating block by block gives the degree-wide result.
+        The degree-wide basis is sorted by weight first, so a block's own
+        column order is the degree-wide one.
         """
         cached = self._quot_cache.get(n)
         if cached is not None:
             return cached
         by_weight = {}
         pivots = {}
+        ideal = {}
         for w, monos in sorted(self.gs.basis_by_weight(n).items()):
-            pivot_cols, rref = self._quotient_block(n, w)
-            # an RREF row is zero at the other pivot columns
-            for p, row in zip(pivot_cols, rref):
-                pivots[monos[p]] = {monos[c]: Fraction(-v, row[p])
-                                    for c, v in row.items() if c != p}
+            pivot_cols, rows = self._quotient_block(n, w)
+            # an RREF row starts at its pivot, and is zero at the others
+            for cols, nums in rows:
+                pivots[monos[cols[0]]] = {monos[c]: Fraction(-v, nums[0])
+                                          for c, v in zip(cols[1:], nums[1:])}
+            if rows:
+                ideal[w] = (monos, rows)
             pivot_set = set(pivot_cols)
             transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
             if transversal:
                 by_weight[w] = transversal
+        self._ideal_rows[n] = ideal
         cached = (by_weight, pivots)
         self._quot_cache[n] = cached
         return cached
 
     def _quotient_block(self, n: int, w):
-        """``(pivot_cols, rref)`` of the relations' span in the weight-w
-        block of degree n, uncached, over the positions of the block's
-        free monomials ``gs.basis_by_weight(n)[w]``; see ``_echelon_rows``.
+        """``ideal_block`` of the weight-w block of degree n, uncached, from
+        the ring's own lower blocks, built first in rising degree."""
+        for k in range(n):
+            if k not in self._ideal_rows:
+                self._quotient_data(k)
 
-        The block's rows are the products r·m with m of weight
-        w - weight(r), found by lookup in the relations grouped by
-        (degree, weight), and they go in in the relations' order.
-        """
-        gs = self.gs
-        mul = gs.mul_monomials
-        monos = gs.basis_by_weight(n)[w]
-        found = []  # (relation position, terms, cofactors)
-        for dr, groups in self._rel_groups.items():
-            if dr > n:
-                continue
-            cofactors = gs.basis_by_weight(n - dr)
-            # look up the weight pairs summing to w from the smaller side
-            swap = len(cofactors) < len(groups)
-            small, big = (cofactors, groups) if swap else (groups, cofactors)
-            for wa, a in small.items():
-                b = big.get(tuple(map(sub, w, wa)))
-                if b:
-                    rels, ms = (b, a) if swap else (a, b)
-                    found.extend((pos, terms, ms) for pos, terms in rels)
-        found.sort(key=lambda f: f[0])
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for _, terms, ms in found:
-            for m in ms:
-                # mr ↦ mr·m is injective, so no two terms of r share a
-                # product monomial and no coefficients need summing
-                row = []
-                odd = m.odd
-                for mr, c in terms:
-                    if mr.odd & odd:
-                        continue  # an odd square: the product vanishes
-                    sign, mm = mul(mr, m)
-                    row.append((index[mm], sign * c))
-                if row:
-                    rows.append(ela._row(row))
-        return ela._echelon_rows(rows)
+        def lower(k, u):
+            block = self._ideal_rows[k].get(u)
+            return block and (zip(block[0], repeat(1)), block[1])
+
+        return ideal_block(self.gs, self.relation_groups, n, w, lower)
 
     def reduce(self, x: Element) -> Element:
         """Canonical form of ``x`` in the quotient (identity for free DGAs).

@@ -11,13 +11,11 @@ form before being trusted.
 The full ring is built and checked once, in ``_full_ring``, for the model
 and the Betti numbers alike; a whole degree is row-reduced when first read.
 The checks row-reduce only the dominant weight blocks of the relation
-ideal I. Through degree 3g a block's rows are the products r·m of the
-relations with cofactors. E lies in degrees 2g..3g, so above 3g every
-cofactor is divisible by a generator x and I^n_w = Σ_x x·I^{n-deg x}_u
-with u = w - weight(x). The certified Weyl symmetry φ_u maps the
-dominant block I_{rep(u)} onto I_u, so the block is spanned by the
-products x·φ_u(ρ) over the RREF rows ρ of the lower dominant blocks; RREF
-is unique, so it does not depend on which spanning rows go in.
+ideal I, with the one recursion ``dga.ideal_block`` that builds every
+block of the ring: I^n_w is spanned by the relations of degree n and
+weight w and the products x·ρ, x a generator and ρ over spanning rows
+of I^{n-deg x}_u, u = w - weight(x). Here the rows of I_u are those of
+the dominant block I_{rep(u)}, moved by the certified Weyl symmetry φ_u.
 """
 
 from __future__ import annotations
@@ -25,12 +23,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from operator import sub
 
 from . import exact_linalg as ela
-from .dga import DGA
+from .dga import DGA, ideal_block
 from .errors import ValidationFailure
 from .free_gca import Element, GeneratorSet, Monomial, _bits
 from .sp_characters import _dominant_orbit_rep
@@ -247,6 +244,19 @@ def _permute_odd(perm: list, mask: int):
     return sign, sum(1 << o for o in images)
 
 
+def _move_terms(perm: list, terms, moved: dict) -> list:
+    """φ on terms: ``[(φ(m), ±c)]`` for the ``(monomial, c)`` pairs
+    ``terms``, φ the signed permutation ``perm`` of the odd classes;
+    ``moved`` memoizes ``_permute_odd`` by odd mask."""
+    out = []
+    for m, c in terms:
+        hit = moved.get(m.odd)
+        if hit is None:
+            hit = moved[m.odd] = _permute_odd(perm, m.odd)
+        out.append((Monomial(m.even, hit[1]), hit[0] * c))
+    return out
+
+
 def _signed_permutation(u) -> list:
     """φ_u, the signed permutation of the odd classes that takes the
     dominant representative rep(u) of the weight u to u, in the form of
@@ -286,21 +296,12 @@ def _certify_weyl_stable(ring: DGA, g: int):
     gs = ring.gs
     ranks: dict = {}  # (degree, weight) -> rank of that part of the span
     for s, perm in enumerate(_coxeter_generators(g), 1):
-        moved = {}  # odd mask -> (sign, mask)
-        # the relations as degree -> weight -> [(position, integer terms)]
-        for d, parts in ring._rel_groups.items():
+        moved: dict = {}  # odd mask -> (sign, mask) under s
+        for d, parts in ring.relation_groups.items():
             for w, rels in parts.items():
-                images = []
-                for _, terms in rels:
-                    image = []
-                    for m, c in terms:
-                        if m.odd not in moved:
-                            moved[m.odd] = _permute_odd(perm, m.odd)
-                        sign, mask = moved[m.odd]
-                        image.append((Monomial(m.even, mask), sign * c))
-                    images.append(image)
+                images = [_move_terms(perm, terms, moved) for terms in rels]
                 key = (d, gs.weight(images[0][0][0]))
-                target = [terms for _, terms in parts.get(key[1], ())]
+                target = parts.get(key[1], [])
                 if key not in ranks:
                     ranks[key] = _span_rank(target)
                 if _span_rank(target + images) != ranks[key]:
@@ -398,15 +399,12 @@ def _full_ring(g: int, budget: int | None):
     dim A^n = Σ over the weights μ of the free degree-n basis of
     dim A^n_{dominant rep of μ}. Failure signals a bug, not a user error.
 
-    The dominant blocks of I come from ``_dominant_blocks``. E lies in
-    degrees 2g..3g, so for n > 3g every product e·m (e ∈ E) has a cofactor
-    m of positive degree, m = ±x·m' for a generator x, and e·m = ±x·(e·m')
-    lies in x·I^{n-deg x}: I^n = Σ_x x·I^{n-deg x}, and weight by weight
-    I^n_w = Σ_x x·I^{n-deg x}_u with u = w - weight(x). The certificate
-    runs first, and φ_u (``_signed_permutation``) is a product of the
-    Coxeter generators it certifies, so φ_u(I^k_{rep(u)}) = I^k_u. The rows
-    x·φ_u(ρ), ρ over the RREF rows of I^{n-deg x}_{rep(u)}, therefore span
-    I^n_w, and the RREF, being unique, is the one of all products r·m.
+    The dominant blocks of I come from ``_dominant_blocks``, by the
+    recursion of ``dga.ideal_block``, which reads each lower block I^k_u
+    as φ_u of the dominant block I^k_{rep(u)}. The certificate runs first,
+    and φ_u (``_signed_permutation``) is a product of the Coxeter
+    generators it certifies, so φ_u(I^k_{rep(u)}) = I^k_u: the moved rows
+    span I^k_u, and the RREF, being unique, is the ring's own.
     """
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
@@ -434,59 +432,25 @@ def _full_ring(g: int, budget: int | None):
 
 def _dominant_blocks(ring: DGA, g: int) -> dict:
     """``{(n, w): (monos, pivot_cols, rows)}`` for each dominant weight w
-    of the free degree-n basis, n = 0..6g-3: the block's free monomials,
-    and the pivot columns and rows of the RREF of I^n_w, each row as the
-    primitive integer ``(cols, nums)`` that ``_echelon_rows`` returns.
-
-    Through degree 3g the RREF is ``ring._quotient_block``'s, over the
-    same positions. Above it, the block is row-reduced from x·φ_u(ρ) for
-    each generator x, u = w - weight(x), and ρ the rows of the block
-    (n - deg x, rep(u)), which is dominant and built already; see
-    ``_full_ring`` for why they span I^n_w. Both x·(-) and φ_u are
-    injective on monomials where the product does not vanish, so a row's
-    terms map term by term without summing.
+    of the free degree-n basis, n = 0..6g-3: the block's free monomials
+    and ``dga.ideal_block`` of I^n_w, which reads I^k_u as the dominant
+    block (k, rep(u)), built already, moved by φ_u (see ``_full_ring``).
     """
     gs = ring.gs
-    mul = gs.mul_monomials
-    gens = [(gs.monomial_of(x), x.degree, x.weight) for x in gs.gens]
     blocks: dict = {}
+
+    def lower(k, u):
+        low = blocks.get((k, _dominant_orbit_rep(u)))
+        if low is None or not low[2]:
+            return None
+        return _move_terms(_signed_permutation(u), zip(low[0], repeat(1)),
+                           {}), low[2]
+
     for n in range(6 * g - 2):
         for w, monos in gs.basis_by_weight(n).items():
-            if w != _dominant_orbit_rep(w):
-                continue
-            if n <= 3 * g:
-                pivot_cols, rref = ring._quotient_block(n, w)
-            else:
-                index = {m: i for i, m in enumerate(monos)}
-                products = []
-                for xm, dx, wx in gens:
-                    u = tuple(map(sub, w, wx))
-                    low = blocks.get((n - dx, _dominant_orbit_rep(u)))
-                    if low is None or not low[2]:
-                        continue
-                    perm = _signed_permutation(u)
-                    moved: dict = {}  # odd mask -> (sign, mask) under φ_u
-                    images = []  # lower column -> (sign, column) of x·φ_u
-                    for m in low[0]:
-                        if m.odd not in moved:
-                            moved[m.odd] = _permute_odd(perm, m.odd)
-                        s, mask = moved[m.odd]
-                        sx, mm = mul(xm, Monomial(m.even, mask))
-                        images.append((s * sx, index[mm]) if sx else (0, 0))
-                    for cols, nums in low[2]:
-                        row = []
-                        for c, v in zip(cols, nums):
-                            s, col = images[c]
-                            if s:
-                                row.append((col, s * v))
-                        if row:
-                            products.append(ela._row(row))
-                pivot_cols, rref = ela._echelon_rows(products)
-            # tuples of ints: the collector untracks them, so the blocks,
-            # which live as long as this loop, do not bring a full
-            # collection forward
-            blocks[n, w] = (monos, pivot_cols,
-                            [ela._row(row.items()) for row in rref])
+            if w == _dominant_orbit_rep(w):
+                blocks[n, w] = (monos, *ideal_block(gs, ring.relation_groups,
+                                                    n, w, lower))
     return blocks
 
 

@@ -172,19 +172,24 @@ class MinimalModel:
         """The ρ* matrix of a cohomology block: for each representative
         vector over ``blk.monomials``, its image as a sparse vector over
         the positions of ``a_block``, the target's basis in the block's
-        (degree, weight)."""
+        (degree, weight). The representatives share positions, so each
+        position's image is computed once."""
         index = {m: i for i, m in enumerate(a_block)}
         src = blk.monomials
+        images: dict = {}  # source position -> its image's terms
         cols = []
         for rep in blk.representative_vectors:
             col: dict = {}
             for j, c in rep.items():
-                for t, v in self.rho_of_monomial(src[j]).terms.items():
-                    i = index.get(t)
-                    if i is None:
+                image = images.get(j)
+                if image is None:
+                    image = images[j] = self.rho_of_monomial(src[j]).terms
+                    if not image.keys() <= index.keys():
                         raise InternalInconsistency(
                             f"target element leaves the ({blk.degree}, "
                             f"{blk.weight}) block")
+                for t, v in image.items():
+                    i = index[t]
                     col[i] = col.get(i, 0) + c * v
             cols.append({i: v for i, v in col.items() if v})
         return cols

@@ -91,8 +91,9 @@ def test_relations_are_weight_homogeneous(g):
         assert e.weight() is not None
 
 
-def _assert_blocked_matches_whole_degree(ring, g):
-    for n in range(6 * g - 2):
+def _assert_blocked_matches_whole_degree(ring, last):
+    top = 6 * ring.gs.weight_len - 6
+    for n in range(last + 1):
         by_weight, pivots = ring._quotient_data(n)
         ref_transversal, ref_rows = whole_degree_quotient(ring, n)
         # blocks: nonempty, in sorted weight order, concatenating to the
@@ -100,6 +101,8 @@ def _assert_blocked_matches_whole_degree(ring, g):
         assert list(by_weight) == sorted(by_weight), n
         assert all(by_weight.values()), n
         assert [m for ms in by_weight.values() for m in ms] == ref_transversal, n
+        # above the top degree the ideal is the whole degree
+        assert n <= top or not by_weight, n
         # pivot rows, in pivot order: the RREF row of p is p minus its
         # reduced form
         assert list(pivots) == list(ref_rows), n
@@ -110,12 +113,24 @@ def _assert_blocked_matches_whole_degree(ring, g):
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_blocked_quotient_matches_whole_degree_full_ring(g):
-    _assert_blocked_matches_whole_degree(moduli.build_cohomology_algebra(g), g)
+    _assert_blocked_matches_whole_degree(moduli.build_cohomology_algebra(g),
+                                         6 * g - 3)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_blocked_quotient_matches_whole_degree_invariant_ring(g):
-    _assert_blocked_matches_whole_degree(moduli.invariant_ring(g), g)
+    _assert_blocked_matches_whole_degree(moduli.invariant_ring(g), 6 * g - 3)
+
+
+@pytest.mark.parametrize("ring, last", [
+    (lambda: moduli.build_cohomology_algebra(2), 15),
+    (lambda: moduli.build_cohomology_algebra(3), 13),
+    (lambda: moduli.invariant_ring(2), 15),
+], ids=["full-2", "full-3", "inv-2"])
+def test_blocked_quotient_matches_whole_degree_past_6g_3(ring, last):
+    """The recursion reads every lower degree, and the deep genus-2 model
+    reads the ring past degree 6g-3."""
+    _assert_blocked_matches_whole_degree(ring(), last)
 
 
 def test_betti_genus_2():
@@ -153,21 +168,19 @@ def test_dominant_blocks_match_full_ring(g):
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_dominant_blocks_above_3g_match_all_products(g):
-    """Above degree 3g a dominant block is row-reduced from generator
-    multiples of lower RREF rows moved by φ_u. Every block has the pivot
-    columns and the primitive integer RREF rows of the block built from
-    every product r·m."""
+    """In every degree a dominant block is row-reduced from the relations
+    and generator multiples of lower RREF rows moved by φ_u. Every block
+    has the pivot columns and the primitive integer RREF rows of the
+    ring's own block, which reads its lower blocks unmoved; the ring's
+    blocks match the elimination of every product r·m
+    (``test_blocked_quotient_matches_whole_degree_full_ring``)."""
     ring = moduli.build_cohomology_algebra(g)
     gs = ring.gs
     blocks = moduli._dominant_blocks(ring, g)
     flipped = permuted = False
     for (n, w), block in blocks.items():
         assert w == _dominant_orbit_rep(w)
-        pivot_cols, rref = ring._quotient_block(n, w)
-        assert block[1] == pivot_cols, (n, w)
-        assert [dict(zip(*row)) for row in block[2]] == rref, (n, w)
-        if n <= 3 * g:
-            continue
+        assert block[1:] == ring._quotient_block(n, w), (n, w)
         for x in gs.gens:
             u = tuple(a - b for a, b in zip(w, x.weight))
             if (n - x.degree, _dominant_orbit_rep(u)) not in blocks:
