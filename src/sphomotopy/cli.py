@@ -75,12 +75,12 @@ def _build_model(args) -> sullivan.MinimalModel:
         if args.genus == 1:
             # trivial invariant ring: the degreewise construction returns
             # the (empty) honest model
-            target = sullivan.invariant_target(1)
-            return sullivan.build(target, args.max_degree, args.budget)
+            return sullivan.build(moduli.invariant_ring(1), args.max_degree,
+                                  args.budget)
         return sullivan.invariant_model(args.genus, args.max_degree, args.budget)
     if args.genus < 2:
         raise ValueError("full target needs --genus >= 2")
-    target = sullivan.moduli_target(args.genus, args.budget)
+    target = moduli.build_cohomology_algebra(args.genus, args.budget)
     return sullivan.build(target, args.max_degree, args.budget)
 
 
@@ -107,6 +107,8 @@ def cmd_minimal_model(args) -> int:
 
 
 # -- verification suites -------------------------------------------------------
+#
+# A suite yields one (name, expected, got, ok) tuple per check.
 
 
 def _genus2_model(args, max_degree: int) -> sullivan.MinimalModel:
@@ -114,60 +116,47 @@ def _genus2_model(args, max_degree: int) -> sullivan.MinimalModel:
     if args.genus is not None and args.genus != 2:
         raise ValueError(f"the {args.suite} suite runs genus 2 only, "
                          f"got --genus {args.genus}")
-    return sullivan.build(sullivan.moduli_target(2, args.budget), max_degree,
-                          args.budget)
+    return sullivan.build(moduli.build_cohomology_algebra(2, args.budget),
+                          max_degree, args.budget)
+
+
+def _table_checks(model, table, degrees, name):
+    """Compare each stage's irreducibles with the table; ``name`` is a
+    format string taking the degree."""
+    for n in degrees:
+        got, want = model.stage(n).irreps(), table[n]
+        yield name.format(n), _fmt_irreps(want), _fmt_irreps(got), got == want
 
 
 def _suite_low_degrees(args):
     top = 7 if args.max_degree is None else min(args.max_degree, 7)
-    model = _genus2_model(args, top)
-    checks = []
-    for n in range(2, top + 1):
-        got = model.stage(n).irreps()
-        want = tables.GENUS2_LOW_DEGREE[n]
-        checks.append({
-            "name": f"stage {n} decomposition",
-            "expected": _fmt_irreps(want),
-            "got": _fmt_irreps(got),
-            "ok": got == want,
-        })
-    return checks
+    return _table_checks(_genus2_model(args, top), tables.GENUS2_LOW_DEGREE,
+                         range(2, top + 1), "stage {} decomposition")
 
 
 def _suite_leading(args):
     max_degree = 10 if args.max_degree is None else args.max_degree
     model = _genus2_model(args, max_degree)
-    checks = []
     for n in range(8, max_degree + 1):
         irreps = model.stage(n).irreps()
         expected = tables.leading_label(n)
         maximal = [l for l in irreps
                    if not any(u != l and sp_characters.dominance_leq(l, u)
                               for u in irreps)]
-        ok = maximal == [expected] and irreps.get(expected) == 1
-        checks.append({
-            "name": f"degree {n} leading label",
-            "expected": f"{sp_characters.render_label(expected)} ×1",
-            "got": ", ".join(sp_characters.render_label(l) for l in maximal)
-                   + f" (mult {irreps.get(expected, 0)})",
-            "ok": ok,
-        })
-    return checks
+        yield (f"degree {n} leading label",
+               f"{sp_characters.render_label(expected)} ×1",
+               ", ".join(sp_characters.render_label(l) for l in maximal)
+               + f" (mult {irreps.get(expected, 0)})",
+               maximal == [expected] and irreps.get(expected) == 1)
 
 
 def _suite_degree_bound(args):
     max_degree = 10 if args.max_degree is None else args.max_degree
-    model = _genus2_model(args, max_degree)
-    checks = []
-    for s in model.stages:
+    for s in _genus2_model(args, max_degree).stages:
         bad = [l for l in s.irreps() if s.degree < sp_characters.n_bound(l)]
-        checks.append({
-            "name": f"degree {s.degree} lower bound",
-            "expected": "every summand above its bound",
-            "got": "violations: " + (", ".join(map(str, bad)) if bad else "none"),
-            "ok": not bad,
-        })
-    return checks
+        yield (f"degree {s.degree} lower bound", "every summand above its bound",
+               "violations: " + (", ".join(map(str, bad)) if bad else "none"),
+               not bad)
 
 
 def _suite_higher_genus(args):
@@ -175,20 +164,11 @@ def _suite_higher_genus(args):
         raise ValueError("the higher-genus suite needs --genus >= 3")
     g = args.genus if args.genus is not None else 3
     max_degree = 2 * g + 1 if args.max_degree is None else args.max_degree
-    model = sullivan.build(sullivan.moduli_target(g, args.budget), max_degree,
-                           args.budget)
-    table = tables.low_degree_table(g)
-    checks = []
-    for n in range(2, min(max_degree, 2 * g + 1) + 1):
-        got = model.stage(n).irreps()
-        want = table[n]
-        checks.append({
-            "name": f"genus {g} stage {n}",
-            "expected": _fmt_irreps(want),
-            "got": _fmt_irreps(got),
-            "ok": got == want,
-        })
-    return checks
+    model = sullivan.build(moduli.build_cohomology_algebra(g, args.budget),
+                           max_degree, args.budget)
+    return _table_checks(model, tables.low_degree_table(g),
+                         range(2, min(max_degree, 2 * g + 1) + 1),
+                         f"genus {g} stage {{}}")
 
 
 def _suite_invariant_model(args):
@@ -204,31 +184,17 @@ def _suite_invariant_model(args):
         2 * g + 1: q.q2.render(),
         2 * g + 3: q.q3.render(),
     }
-    checks = []
-    degs = {}
-    for s in model.stages:
-        for gen in s.generators:
-            degs[gen.degree] = gen.d_image.render()
-    checks.append({
-        "name": f"genus {g} generator degrees",
-        "expected": str(tables.invariant_generator_degrees(g)),
-        "got": str(sorted(degs)),
-        "ok": sorted(degs) == tables.invariant_generator_degrees(g),
-    })
+    degs = {gen.degree: gen.d_image.render()
+            for s in model.stages for gen in s.generators}
+    want = tables.invariant_generator_degrees(g)
+    yield (f"genus {g} generator degrees", str(want), str(sorted(degs)),
+           sorted(degs) == want)
     for deg in sorted(expected):
-        checks.append({
-            "name": f"genus {g} differential at degree {deg}",
-            "expected": expected[deg],
-            "got": degs.get(deg, "<missing>"),
-            "ok": degs.get(deg) == expected[deg],
-        })
-    checks.append({
-        "name": f"genus {g} quasi-isomorphism through {max_degree}",
-        "expected": "verified",
-        "got": "verified",  # invariant_model raises otherwise
-        "ok": True,
-    })
-    return checks
+        yield (f"genus {g} differential at degree {deg}", expected[deg],
+               degs.get(deg, "<missing>"), degs.get(deg) == expected[deg])
+    # invariant_model raises unless it is a model
+    yield (f"genus {g} quasi-isomorphism through {max_degree}", "verified",
+           "verified", True)
 
 
 def _fmt_irreps(d: dict) -> str:
@@ -249,7 +215,9 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    checks = SUITES[args.suite](args)
+    # every check runs before anything prints, so an error prints alone
+    checks = [dict(zip(("name", "expected", "got", "ok"), c))
+              for c in SUITES[args.suite](args)]
     ok = bool(checks) and all(c["ok"] for c in checks)
     if args.format == "json":
         print(json.dumps({"suite": args.suite, "ok": ok, "checks": checks},

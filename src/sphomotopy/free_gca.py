@@ -100,7 +100,6 @@ class GeneratorSet:
         zero = (0,) * weight_len
         # degree -> (generators covered, groups, view), see _built
         self._bases: dict = {0: (0, {zero: [ONE]}, {zero: [ONE]})}
-        self._count_cache: dict = {}
 
     def add(self, name: str, degree: int, weight=None) -> Generator:
         if name in self._by_name:
@@ -115,10 +114,7 @@ class GeneratorSet:
         self.gens.append(g)
         pool.append(g)
         self._by_name[name] = g
-        # degrees are positive, so only counts of degree >= g.degree change;
         # the bases catch up with the new generator when next read
-        for k in [k for k in self._count_cache if k >= degree]:
-            del self._count_cache[k]
         return g
 
     def __len__(self):
@@ -243,18 +239,15 @@ class GeneratorSet:
 
     def count_monomials(self, degree: int) -> int:
         """Monomial count by series coefficients; no enumeration."""
-        counts = self._count_cache.get(degree)
-        if counts is None:
-            counts = [1] + [0] * degree
-            for g in self.gens:
-                d = g.degree
-                if g.is_odd:
-                    for i in range(degree, d - 1, -1):
-                        counts[i] += counts[i - d]
-                else:
-                    for i in range(d, degree + 1):
-                        counts[i] += counts[i - d]
-            self._count_cache[degree] = counts
+        counts = [1] + [0] * degree
+        for g in self.gens:
+            d = g.degree
+            if g.is_odd:
+                for i in range(degree, d - 1, -1):
+                    counts[i] += counts[i - d]
+            else:
+                for i in range(d, degree + 1):
+                    counts[i] += counts[i - d]
         return counts[degree]
 
     def check_budget(self, degrees, budget: int | None = None):

@@ -201,9 +201,13 @@ def irrep_character(label) -> dict:
 def decompose(char: dict) -> dict:
     """Greedy highest-weight peeling.
 
-    Repeatedly takes a dominance-maximal dominant weight with positive
-    multiplicity (ties broken by lexicographically largest label),
-    subtracts the full character of that irreducible, and records it.
+    Repeatedly takes the lexicographically largest dominant weight with
+    positive multiplicity, subtracts the full character of that
+    irreducible, and records it. That weight is dominance-maximal: every
+    positive root (e_i - e_j, e_i + e_j, 2e_i) has a positive first
+    nonzero coordinate, so a weight above it in dominance is also above
+    it lexicographically. The decomposition is unique, so the peel order
+    does not change the result.
     Raises NotACharacter when a multiplicity goes negative or a residue
     without dominant support remains.
     """
@@ -213,18 +217,11 @@ def decompose(char: dict) -> dict:
             raise NotACharacter("negative input multiplicity")
     out: dict = {}
     while remaining:
-        dominant = [w for w in remaining
-                    if all(w[i] >= w[i + 1] for i in range(len(w) - 1))
-                    and w[-1] >= 0]
-        if not dominant:
+        top = max((w for w in remaining if w == _dominant_orbit_rep(w)),
+                  default=None)
+        if top is None:
             raise NotACharacter("nonzero residue without dominant weights")
-        maximal = [w for w in dominant
-                   if not any(u != w and dominance_leq(label_of_weight(w),
-                                                       label_of_weight(u))
-                              for u in dominant)]
-        labels = sorted((label_of_weight(w) for w in maximal), reverse=True)
-        lab = labels[0]
-        mult = remaining[highest_weight(lab)]
+        lab, mult = label_of_weight(top), remaining[top]
         for w, m in irrep_character(lab).items():
             v = remaining.get(w, 0) - mult * m
             if v < 0:
@@ -233,7 +230,7 @@ def decompose(char: dict) -> dict:
                 remaining[w] = v
             else:
                 remaining.pop(w, None)
-        out[lab] = out.get(lab, 0) + mult
+        out[lab] = mult  # top is gone from remaining, so lab comes once
     return out
 
 

@@ -434,17 +434,6 @@ def build(target: DGA, max_degree: int,
     return model
 
 
-# -- named targets -------------------------------------------------------------
-
-
-def moduli_target(g: int, budget: int | None = None) -> DGA:
-    return moduli.build_cohomology_algebra(g, budget)
-
-
-def invariant_target(g: int, check_up_to: int | None = None) -> DGA:
-    return moduli.invariant_ring(g, check_up_to=check_up_to)
-
-
 def invariant_model(g: int, max_degree: int,
                     budget: int | None = None) -> MinimalModel:
     """The finite model of the invariant subring: cocycles α, β, γ plus
@@ -463,7 +452,7 @@ def invariant_model(g: int, max_degree: int,
         raise ValueError("the finite invariant model needs genus >= 2")
     if max_degree < 2 * g + 3:
         raise ValueError("max_degree must reach the last generator degree")
-    A = invariant_target(g, check_up_to=max_degree + 2)
+    A = moduli.invariant_ring(g, check_up_to=max_degree + 2)
     model = MinimalModel(A, budget)
     q = moduli.q_polynomials(g)
     zero_w = (0,) * g

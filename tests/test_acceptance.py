@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 pass. Degree caps are configurable through SPHOMOTOPY_THM63_MAXDEG (the
-genus-2 deep build, default 12).
+genus-2 deep build, default 13).
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from sphomotopy import cli, moduli, sp_characters, sullivan, tables
 from sphomotopy.errors import BudgetExceeded
 
-G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "12"))
+G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "13"))
 
 
 def report(num, desc, ok):
@@ -25,17 +25,17 @@ def report(num, desc, ok):
 
 @pytest.fixture(scope="module")
 def g2_deep():
-    return sullivan.build(sullivan.moduli_target(2), G2_MAXDEG)
+    return sullivan.build(moduli.build_cohomology_algebra(2), G2_MAXDEG)
 
 
 @pytest.fixture(scope="module")
 def g3_model():
-    return sullivan.build(sullivan.moduli_target(3), 7)
+    return sullivan.build(moduli.build_cohomology_algebra(3), 7)
 
 
 @pytest.fixture(scope="module")
 def g4_model():
-    return sullivan.build(sullivan.moduli_target(4), 9)
+    return sullivan.build(moduli.build_cohomology_algebra(4), 9)
 
 
 def test_criterion_1_betti(capsys):
@@ -70,7 +70,7 @@ def test_criterion_2_relations(capsys):
 
 def test_criterion_3_genus2_low_degrees(capsys):
     t0 = time.perf_counter()
-    model = sullivan.build(sullivan.moduli_target(2), 7)
+    model = sullivan.build(moduli.build_cohomology_algebra(2), 7)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     for n in range(2, 8):

@@ -349,12 +349,45 @@ def _perfbench_workloads(monkeypatch):
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("name", ["g2-deep", "betti-g5"])
+# Hand-checked outputs beside the benchmark's workloads, each pinned by the
+# sha256 of its whole stdout.
+COMMAND_BYTES = {
+    "betti-g6": ("betti --genus 6",
+                 "8f276d4d50aeb5b3a156ad50642692c5b4b003872f7f6ba15179aab8b3fc4ffe"),
+    "model-g3": ("minimal-model --genus 3 --max-degree 12",
+                 "2442ebd3dc746ea27ab8c463f315480adfba9c1a567b64dece5c74f4daab7c24"),
+    "model-g5": ("minimal-model --genus 5 --max-degree 11",
+                 "0fff62589f5331eb018a675137b9b79f32f061be57a4b62e0466af2246aae2ee"),
+    "invariant-g2": ("minimal-model --genus 2 --target invariant --max-degree 13",
+                     "357cf0519fff2a6ca491f52b0935d8e067ee0ee74f8d14150d362961a0be9ce7"),
+    "invariant-g3": ("minimal-model --genus 3 --target invariant --max-degree 12",
+                     "91403950db045a58d6426a18f76abf6c67a86c94a55e1717e39884f7872afda1"),
+    "relations-g3": ("relations --genus 3",
+                     "8a49cafe212404a5cf43b1878f0bdc23b35c1f02f1f33377b0d6528deaba89ae"),
+    "verify-low-degrees": ("verify --suite low-degrees",
+                           "07cbae686f9d731e341caddd6b202796a7714a3c257eaff05b6eef090edf79d8"),
+    "verify-leading": ("verify --suite leading",
+                       "c33f29b69c63fdeb26c2ae1bf3333d9a9e22d2f64182ae3c7eacd0d0c2c810b7"),
+    "verify-degree-bound": ("verify --suite degree-bound",
+                            "73fdbee827b088549f5fffb7d21b6efcd0da822200b2512f1d56aa9afb491191"),
+    "verify-higher-genus": ("verify --suite higher-genus",
+                            "829aba8357a52c4cda4662b67c855430a8c36ab837099cdeb37bc4086f89a2ae"),
+    "verify-invariant-model": ("verify --suite invariant-model",
+                               "567590a669a449e72292cea18ce06756a647e6f93b9b8925a41ce4e2414da7ed"),
+}
+
+
+@pytest.mark.parametrize("name", ["g2-deep", "betti-g5", *COMMAND_BYTES])
 def test_workload_output_bytes(monkeypatch, capsys, name):
     """The genus-2 model through degree 12 and the genus-5 Betti numbers
-    print exactly the bytes the benchmark recorded; the golden file covers
-    only degrees up to 6."""
-    workload = _perfbench_workloads(monkeypatch)[name]
-    assert cli.main(list(workload.argv)) == 0
+    print exactly the bytes the benchmark recorded (the golden file covers
+    only degrees up to 6), and each hand-checked command its pinned JSON."""
+    if name in COMMAND_BYTES:
+        command, sha256 = COMMAND_BYTES[name]
+        argv = command.split() + ["--format", "json"]
+    else:
+        workload = _perfbench_workloads(monkeypatch)[name]
+        argv, sha256 = list(workload.argv), workload.sha256
+    assert cli.main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == workload.sha256
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

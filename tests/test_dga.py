@@ -252,7 +252,7 @@ def test_mixed_weight_relation_rejected():
 def test_coboundary_coordinates_read_off_free_columns():
     """b = Σ_k b[f_k]·z_k for every coboundary b, where z_k is the
     canonical kernel vector of d(n) with free column f_k."""
-    dga = sullivan.build(sullivan.moduli_target(2), 8).dga
+    dga = sullivan.build(moduli.build_cohomology_algebra(2), 8).dga
     checked = 0
     for n in range(9):
         for w in sorted(dga.gs.basis_by_weight(n)):
@@ -282,7 +282,7 @@ def test_coboundaries_from_recorded_pivot_columns():
     from the pivot columns; recomputing it with the record cleared, by
     eliminating the image, gives the same representatives, the same
     positions and the same span of coboundaries."""
-    dga = sullivan.build(sullivan.moduli_target(2), 8).dga
+    dga = sullivan.build(moduli.build_cohomology_algebra(2), 8).dga
     reused = fallback = 0
     for n in range(10):
         for w in sorted(dga.gs.basis_by_weight(n)):
@@ -360,7 +360,7 @@ def test_stage_computes_only_next_degree_cohomology(monkeypatch):
     monkeypatch.setattr(DGA, "cohomology", traced_cohomology)
     monkeypatch.setattr(sullivan.MinimalModel, "extend_stage",
                         traced_extend_stage)
-    sullivan.build(sullivan.moduli_target(2), 8)
+    sullivan.build(moduli.build_cohomology_algebra(2), 8)
     # the empty model has no degree-3 monomials, so stage 2 computes none
     assert {stage for stage, _ in calls} == set(range(3, 9))
     assert all(n == stage + 1 for stage, n in calls)
@@ -370,7 +370,7 @@ def test_build_enumerates_no_basis_above_max_degree_plus_one():
     """The top stage's d(D+1) blocks are assembled over the monomials they
     hit: the free basis of degree D+2 is never built."""
     for genus, top in ((2, 8), (3, 7)):
-        gs = sullivan.build(sullivan.moduli_target(genus), top).dga.gs
+        gs = sullivan.build(moduli.build_cohomology_algebra(genus), top).dga.gs
         assert top + 1 in gs._bases and top + 2 not in gs._bases
 
 
@@ -402,7 +402,7 @@ def _reference_d(dga, m):
 def test_integer_d_matrix_matches_element_reference(genus, top, fractions):
     """Every (degree, weight) block of the integer-assembled differential
     equals the one built from Element products, entry by entry."""
-    dga = sullivan.build(sullivan.moduli_target(genus), top).dga
+    dga = sullivan.build(moduli.build_cohomology_algebra(genus), top).dga
     blocks = fractional = 0
     for n in range(top + 1):
         for w in sorted(dga.gs.basis_by_weight(n)):

@@ -210,9 +210,9 @@ def test_bases_extend_across_interleaved_adds():
 
 def _model_generators():
     # the full ring's even generators have weight zero; a model's do not
-    from sphomotopy import sullivan
+    from sphomotopy import moduli, sullivan
 
-    return sullivan.build(sullivan.moduli_target(2), 7).dga.gs
+    return sullivan.build(moduli.build_cohomology_algebra(2), 7).dga.gs
 
 
 @pytest.mark.parametrize("make_gs", [lambda: full_generators(2),

@@ -237,7 +237,7 @@ def test_weyl_certificate_rejects_unstable_relations(monkeypatch, build):
 def test_model_reads_only_the_degrees_it_needs():
     """The ring's checks row-reduce dominant blocks only; a whole degree is
     row-reduced when the model first reads it."""
-    target = sullivan.moduli_target(4)
+    target = moduli.build_cohomology_algebra(4)
     sullivan.build(target, 6)
     assert target._quot_cache
     assert max(target._quot_cache) <= 7

@@ -20,7 +20,7 @@ def sphere_target():
 
 @pytest.fixture(scope="module")
 def g2_model():
-    return sullivan.build(sullivan.moduli_target(2), 7)
+    return sullivan.build(moduli.build_cohomology_algebra(2), 7)
 
 
 def test_sphere_two_stage_model():
@@ -157,9 +157,9 @@ def test_weights_preserved_by_d(g2_model):
 def test_dropped_generator_fails_injectivity():
     """Rebuilding stage 4 with one generator removed breaks the
     degree-5 injectivity condition."""
-    target = sullivan.moduli_target(2)
+    target = moduli.build_cohomology_algebra(2)
     full = sullivan.build(target, 4)
-    crippled = sullivan.MinimalModel(sullivan.moduli_target(2))
+    crippled = sullivan.MinimalModel(moduli.build_cohomology_algebra(2))
     for n in (2, 3):
         crippled.extend_stage(n)
     bucket = []
@@ -173,7 +173,7 @@ def test_dropped_generator_fails_injectivity():
 
 
 def test_genus3_low_degrees():
-    model = sullivan.build(sullivan.moduli_target(3), 7)
+    model = sullivan.build(moduli.build_cohomology_algebra(3), 7)
     table = tables.low_degree_table(3)
     for n in range(2, 8):
         assert model.stage(n).irreps() == table[n]
@@ -215,7 +215,7 @@ def _reference_c_plan(model, n):
 
 @pytest.mark.parametrize("g, top", [(2, 9), (3, 7)])
 def test_reused_c_plan_matches_recomputation(g, top):
-    model = sullivan.MinimalModel(sullivan.moduli_target(g))
+    model = sullivan.MinimalModel(moduli.build_cohomology_algebra(g))
     c_gens = 0
     for n in range(2, top + 1):
         want = _reference_c_plan(model, n)
@@ -270,7 +270,7 @@ def test_noncocycle_differential_detected(monkeypatch):
         return dataclasses.replace(
             blk, representative_vectors=_bump_below_free(blk.representative_vectors))
 
-    target = sullivan.moduli_target(2)
+    target = moduli.build_cohomology_algebra(2)
     monkeypatch.setattr(DGA, "cohomology", off_kernel)
     with pytest.raises(InternalInconsistency, match=r"d\(d\(v\)\) != 0"):
         sullivan.build(target, 8)
@@ -280,7 +280,7 @@ def test_differential_outside_rho_kernel_detected(monkeypatch):
     """ρ∘d=0 is checked as the block's ρ* matrix times each kernel vector,
     so a kernel the elimination got wrong cannot become differentials."""
     kernel_basis = ela.kernel_basis
-    target = sullivan.moduli_target(2)
+    target = moduli.build_cohomology_algebra(2)
     monkeypatch.setattr(ela, "kernel_basis",
                         lambda columns, nrows:
                         _bump_below_free(kernel_basis(columns, nrows)))
@@ -297,7 +297,7 @@ def test_stage_after_hand_built_stages_rejected():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded) as err:
-        sullivan.build(sullivan.moduli_target(2), 8, budget=10)
+        sullivan.build(moduli.build_cohomology_algebra(2), 8, budget=10)
     assert err.value.estimate > err.value.budget
     assert err.value.degree >= 2
 
@@ -316,7 +316,7 @@ def test_invariant_model_genus_2():
 
 
 def test_invariant_model_genus_1_target_trivial():
-    target = sullivan.invariant_target(1)
+    target = moduli.invariant_ring(1)
     model = sullivan.build(target, 8)
     assert all(s.dim == 0 for s in model.stages)
     assert model.verify_quasi_iso(8).ok
@@ -432,8 +432,8 @@ def _reference_rho(model):
 
 
 @pytest.mark.parametrize("make, top", [
-    (lambda: sullivan.build(sullivan.moduli_target(2), 9), 9),
-    (lambda: sullivan.build(sullivan.moduli_target(3), 7), 7),
+    (lambda: sullivan.build(moduli.build_cohomology_algebra(2), 9), 9),
+    (lambda: sullivan.build(moduli.build_cohomology_algebra(3), 7), 7),
     (lambda: sullivan.invariant_model(2, 13), 13),
 ], ids=["genus2-9", "genus3-7", "invariant-genus2-13"])
 def test_rho_is_the_algebra_map(make, top):
@@ -473,7 +473,7 @@ def test_generic_build_matches_invariant_model_genus_4():
     """Away from the small-genus degeneracy the degreewise construction
     finds the same six generators; each transgression is the matching
     relation modulo the ideal of the earlier ones."""
-    target = sullivan.invariant_target(4, check_up_to=13)
+    target = moduli.invariant_ring(4, check_up_to=13)
     generic = sullivan.build(target, 11)
     degrees = sorted(g.degree for s in generic.stages for g in s.generators)
     assert degrees == [2, 4, 6, 7, 9, 11]
@@ -509,7 +509,7 @@ def test_leading_terms_hold_deeper():
     """Past the tabulated range: the dominance-maximal summand keeps the
     predicted label with multiplicity one, and every summand respects the
     degree bound. Dimensions are frozen as a regression guard."""
-    model = sullivan.build(sullivan.moduli_target(2), 12)
+    model = sullivan.build(moduli.build_cohomology_algebra(2), 12)
     assert [model.stage(n).dim for n in range(2, 13)] == \
         [1, 4, 4, 6, 15, 30, 60, 120, 260, 564, 1200]
     for n in range(8, 13):
@@ -534,7 +534,7 @@ def test_json_dump_shape(g2_model):
 
 
 def test_deterministic_rebuild(g2_model):
-    again = sullivan.build(sullivan.moduli_target(2), 7)
+    again = sullivan.build(moduli.build_cohomology_algebra(2), 7)
     a = again.to_json_dict()
     b = g2_model.to_json_dict()
     assert a == b

@@ -55,9 +55,9 @@ def test_boundaries_are_listed():
 
 def test_count_hooks_read_real_results():
     from sphomotopy import exact_linalg as ela
-    from sphomotopy import sullivan
+    from sphomotopy import moduli, sullivan
 
-    dga = sullivan.build(sullivan.moduli_target(2), 6).dga
+    dga = sullivan.build(moduli.build_cohomology_algebra(2), 6).dga
     counts = LAYERS_MODULE.Tracer().counts
     w = max(dga.gs.basis_by_weight(6))
     result = dga.d_matrix(6, w)
@@ -82,7 +82,7 @@ def test_d_matrix_read_once_per_cohomology_block(monkeypatch):
     reads it, so the tracer's ``dga.d_matrix`` counters measure the model's
     own traffic: a second read or a cache in front of the assembly would
     change the count."""
-    from sphomotopy import sullivan
+    from sphomotopy import moduli, sullivan
     from sphomotopy.dga import DGA
 
     calls = {"d_matrix": 0, "cohomology": 0}
@@ -95,7 +95,7 @@ def test_d_matrix_read_once_per_cohomology_block(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    target = sullivan.moduli_target(2)
+    target = moduli.build_cohomology_algebra(2)
     for name in calls:
         monkeypatch.setattr(DGA, name, counted(name))
     sullivan.build(target, 8)
