@@ -50,16 +50,9 @@ class RationalMatrix:
 
 
 def _int_rows(rows):
-    """Clear denominators rowwise; kernel input. Stored zeros are dropped."""
-    out = []
-    for row in rows:
-        cols = sorted(c for c in row if row[c])
-        if not cols:
-            continue
-        den = lcm(*(row[c].denominator for c in cols))
-        nums = [row[c].numerator * (den // row[c].denominator) for c in cols]
-        out.append((cols, nums))
-    return out
+    """Clear denominators rowwise, dropping stored zeros and zero rows."""
+    return [_row((c, v) for c, v in _cleared(row)[1].items() if v)
+            for row in rows if any(row.values())]
 
 
 def _row(pairs):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 
 from . import exact_linalg as ela
@@ -206,28 +206,6 @@ def _transplant(x: Element, gs: GeneratorSet) -> Element:
 # -- Weyl symmetry of the relation ideal -----------------------------------------
 
 
-def _coxeter_generators(g: int) -> list:
-    """The Coxeter generators of the signed permutations W, as signed
-    permutations of the odd ordinals (γ_i has ordinal i-1): ``perm[o]`` is
-    ``(ordinal, sign)`` of the image of the o-th odd class.
-
-    s_i (i < g) swaps γ_i with γ_{i+1} and γ_{i+g} with γ_{i+g+1}; s_g
-    sends γ_g to γ_2g and γ_2g to -γ_g. Each is symplectic for
-    ω = Σ γ_i γ_{i+g}, fixes α and β, and acts on weights as the
-    corresponding reflection.
-    """
-    out = []
-    for i in range(g - 1):
-        perm = [(o, 1) for o in range(2 * g)]
-        perm[i], perm[i + 1] = (i + 1, 1), (i, 1)
-        perm[i + g], perm[i + g + 1] = (i + g + 1, 1), (i + g, 1)
-        out.append(perm)
-    perm = [(o, 1) for o in range(2 * g)]
-    perm[g - 1], perm[2 * g - 1] = (2 * g - 1, 1), (g - 1, -1)
-    out.append(perm)
-    return out
-
-
 def _permute_odd(perm: list, mask: int):
     """``(sign, mask)`` of the image of the odd product on ``mask``: the
     images' signs times the sign of sorting the images into place."""
@@ -259,18 +237,21 @@ def _move_terms(perm: list, terms, moved: dict) -> list:
 
 def _signed_permutation(u) -> list:
     """φ_u, the signed permutation of the odd classes that takes the
-    dominant representative rep(u) of the weight u to u, in the form of
-    ``_coxeter_generators``.
+    dominant representative rep(u) of the weight u to u: ``perm[o]`` is
+    ``(ordinal, sign)`` of the image of the o-th odd class (γ_i has
+    ordinal i-1).
 
     φ_u is a permutation π of 1..g with |u_{π(i)}| = rep(u)_i, applied to
     both halves (γ_i -> γ_{π(i)}, γ_{i+g} -> γ_{π(i)+g}), followed by the
     flip γ_j -> γ_{j+g}, γ_{j+g} -> -γ_j at each j with u_j < 0. On
     weights, L_i goes to ±L_{π(i)} with the sign of u_{π(i)}, so the
-    weight-rep(u) monomials go to weight-u ones. π is a product of
-    s_1..s_{g-1}, and the flip at j is s_g conjugated by the permutation
-    swapping j and g, so φ_u lies in the group of the Coxeter generators:
-    it preserves ω = Σ γ_i γ_{i+g}, fixes α and β, and maps I onto I once
-    ``_certify_weyl_stable`` has passed.
+    weight-rep(u) monomials go to weight-u ones. With ρ = (g, ..., 1), the
+    simple reflection s_i (i < g) is φ of ρ with entries i and i+1 swapped,
+    and s_g (the flip at g) is φ of ρ with its last entry negated. π is a
+    product of s_1..s_{g-1}, and the flip at j is s_g conjugated by the
+    permutation swapping j and g, so φ_u lies in the group of the simple
+    reflections: it preserves ω = Σ γ_i γ_{i+g}, fixes α and β, and maps I
+    onto I once ``_certify_weyl_stable`` has passed.
     """
     g = len(u)
     perm = [None] * (2 * g)
@@ -284,30 +265,35 @@ def _signed_permutation(u) -> list:
 
 
 def _certify_weyl_stable(ring: DGA, g: int):
-    """Raise unless each Coxeter generator maps the span of the relations
-    into itself.
+    """Raise unless each simple reflection (see ``_signed_permutation``)
+    maps the span of the relations into itself.
 
-    The span is graded by (degree, weight), and a generator s maps the
-    (d, w) part into the (d, s·w) part, so the check is one rank per
-    part. Each s induces a degree-preserving algebra automorphism φ_s of
-    the free algebra, so φ_s(E) ⊆ span E ⊆ I gives φ_s(I^n) ⊆ I^n and,
-    I^n being finite-dimensional, φ_s(I^n) = I^n.
+    The span is graded by (degree, weight), and a reflection s maps the
+    (d, w) part into the (d, s·w) part. So for each degree d the images of
+    the degree-d relations under every s are collected by the weight they
+    land in, and each destination part must keep its rank when they are
+    added: the span is unchanged iff every image lies in it. Each s
+    induces a degree-preserving algebra automorphism φ_s of the free
+    algebra, so φ_s(E) ⊆ span E ⊆ I gives φ_s(I^n) ⊆ I^n and, I^n being
+    finite-dimensional, φ_s(I^n) = I^n.
     """
     gs = ring.gs
-    ranks: dict = {}  # (degree, weight) -> rank of that part of the span
-    for s, perm in enumerate(_coxeter_generators(g), 1):
-        moved: dict = {}  # odd mask -> (sign, mask) under s
-        for d, parts in ring.relation_groups.items():
-            for w, rels in parts.items():
-                images = [_move_terms(perm, terms, moved) for terms in rels]
-                key = (d, gs.weight(images[0][0][0]))
-                target = parts.get(key[1], [])
-                if key not in ranks:
-                    ranks[key] = _span_rank(target)
-                if _span_rank(target + images) != ranks[key]:
-                    raise ValidationFailure(
-                        f"Weyl certificate failed: s{s} maps a relation of degree "
-                        f"{d} and weight {w} out of the span of the relations")
+    rho = list(range(g, 0, -1))
+    reflected = [rho[:i] + [rho[i + 1], rho[i]] + rho[i + 2:] for i in range(g - 1)]
+    # each with its memo: odd mask -> (sign, mask) under s
+    reflections = [(_signed_permutation(u), {}) for u in reflected + [rho[:-1] + [-1]]]
+    for d, parts in ring.relation_groups.items():
+        images: dict = {}  # weight -> images of the degree-d relations there
+        for perm, moved in reflections:
+            for terms in chain.from_iterable(parts.values()):
+                image = _move_terms(perm, terms, moved)
+                images.setdefault(gs.weight(image[0][0]), []).append(image)
+        for w, vecs in images.items():
+            target = parts.get(w, [])
+            if _span_rank(target + vecs) != _span_rank(target):
+                raise ValidationFailure(
+                    f"Weyl certificate failed: a simple reflection maps a relation "
+                    f"of degree {d} to weight {w}, out of the span of the relations")
 
 
 def _span_rank(vecs: list) -> int:
@@ -402,8 +388,8 @@ def _full_ring(g: int, budget: int | None):
     The dominant blocks of I come from ``_dominant_blocks``, by the
     recursion of ``dga.ideal_block``, which reads each lower block I^k_u
     as φ_u of the dominant block I^k_{rep(u)}. The certificate runs first,
-    and φ_u (``_signed_permutation``) is a product of the Coxeter
-    generators it certifies, so φ_u(I^k_{rep(u)}) = I^k_u: the moved rows
+    and φ_u (``_signed_permutation``) is a product of the simple
+    reflections it certifies, so φ_u(I^k_{rep(u)}) = I^k_u: the moved rows
     span I^k_u, and the RREF, being unique, is the ring's own.
     """
     if g < 2:

@@ -234,6 +234,41 @@ def test_weyl_certificate_rejects_unstable_relations(monkeypatch, build):
         build(3)
 
 
+@pytest.mark.parametrize("build", [moduli.betti_numbers,
+                                   moduli.build_cohomology_algebra])
+def test_weyl_certificate_rejects_a_flip_into_an_empty_part(monkeypatch, build):
+    # α·γ1γ2γ3 has degree 11, where E has no other relation; s_1 and s_2
+    # fix it up to sign, and only s_3 moves it, to the empty weight (1, 1, -1)
+    full = moduli.relation_subspace_E
+
+    def with_extra(g):
+        rels = full(g)
+        gs = rels[0].gs
+        return rels + [gs.gen("α") * gs.gen("γ1") * gs.gen("γ2") * gs.gen("γ3")]
+
+    monkeypatch.setattr(moduli, "relation_subspace_E", with_extra)
+    with pytest.raises(ValidationFailure, match="^Weyl certificate failed"):
+        build(3)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_simple_reflections_are_signed_permutations_of_reflected_rho(g):
+    """s_i (i < g) swaps γ_i with γ_{i+1} and γ_{i+g} with γ_{i+g+1}; s_g
+    sends γ_g to γ_2g and γ_2g to -γ_g. Each is φ of ρ = (g, ..., 1) with
+    the matching reflection applied (ordinals: γ_i is i-1)."""
+    rho = list(range(g, 0, -1))
+    for i in range(g - 1):
+        perm = [(o, 1) for o in range(2 * g)]
+        perm[i], perm[i + 1] = (i + 1, 1), (i, 1)
+        perm[i + g], perm[i + g + 1] = (i + g + 1, 1), (i + g, 1)
+        u = rho[:]
+        u[i], u[i + 1] = u[i + 1], u[i]
+        assert moduli._signed_permutation(u) == perm, (g, i)
+    perm = [(o, 1) for o in range(2 * g)]
+    perm[g - 1], perm[2 * g - 1] = (2 * g - 1, 1), (g - 1, -1)
+    assert moduli._signed_permutation(rho[:-1] + [-1]) == perm
+
+
 def test_model_reads_only_the_degrees_it_needs():
     """The ring's checks row-reduce dominant blocks only; a whole degree is
     row-reduced when the model first reads it."""
