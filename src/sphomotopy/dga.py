@@ -10,8 +10,9 @@ Two flavours share the class:
   carries its per-weight bases and the reduction to the transversal.
 
 A free DGA keeps each generator's differential as an integer image
-``(den, {monomial: int})`` and assembles d(m) from it with the Leibniz
-rule on the last factor, in integers, once per monomial. A block of d is
+``(den, {monomial: int})`` and assembles d(m) from them as the Leibniz
+sum over m's factors, in integers, on every call (``_d_int``); nothing
+is kept per monomial. A block of d is
 assembled once per cohomology block, over the target monomials its
 images hit, and is not kept; it goes to the elimination as the integer
 rows of den·d, with den the lcm of the block's denominators: RREF and
@@ -43,7 +44,7 @@ from operator import sub
 
 from . import exact_linalg as ela
 from .errors import InternalInconsistency, ValidationFailure
-from .free_gca import ONE, Element, GeneratorSet, Monomial
+from .free_gca import Element, GeneratorSet, Monomial, _bits
 
 
 @dataclass
@@ -137,9 +138,8 @@ class DGA:
         self.relations = list(relations) if relations else None
         # generator index, resp. monomial -> d as (den, {monomial: int})
         self._d_gen: dict[int, tuple] = {g.index: _NO_D for g in gs.gens}
-        self._d_cache: dict = {ONE: _NO_D}
-        # one object per monomial that occurs as a term of some d(m)
-        self._terms: dict = {}
+        # ((degree, weight), its free monomials), see add_generator
+        self._guard: tuple = (None, set())
         # degree -> (by_weight, pivots), see _quotient_data
         self._quot_cache: dict = {}
         # (n, weight) -> (source length, pivot columns) of the d(n) block
@@ -188,15 +188,20 @@ class DGA:
         ``(den, {monomial: int})`` (model growth path); returns the
         generator and keeps the image itself.
 
-        Only the block is checked here: every term of d_image must have
-        the degree degree+1 and the generator's weight, so that d maps
-        every (degree, weight) block into one block. The model
-        construction checks d(d(v)) = 0 for a whole block at once.
+        Only the block is checked here: every term of d_image must be a
+        monomial of the free (degree+1, weight) block, so that d maps
+        every (degree, weight) block into one block. The set of the last
+        block's monomials is kept, and read again on a miss: a block only
+        grows. The model construction checks d(d(v)) = 0 for a whole block.
         """
         gs = self.gs
         w = tuple(weight) if weight is not None else (0,) * gs.weight_len
-        for m in d_image[1]:
-            if gs.degree(m) != degree + 1 or gs.weight(m) != w:
+        key, block = self._guard
+        terms = d_image[1]
+        if terms and (key != (degree + 1, w) or not block.issuperset(terms)):
+            block = set(gs.basis_by_weight(degree + 1).get(w, ()))
+            self._guard = ((degree + 1, w), block)
+            if not block.issuperset(terms):
                 raise InternalInconsistency(
                     f"d({name}) leaves the ({degree + 1}, {w}) block")
         g = gs.add(name, degree, w)
@@ -206,59 +211,46 @@ class DGA:
     # -- differential -------------------------------------------------------
 
     def _d_int(self, m: Monomial):
-        """d(m) as ``(den, {monomial: int})``, cached per monomial.
+        """d(m) as ``(den, {monomial: int})``, assembled on every call.
 
-        Leibniz on the last factor: m = rest·g with g the last odd
-        generator, or the last even one if m has no odd factor, and
-        d(rest·g) = d(rest)·g + (-1)^|rest| rest·d(g). The terms are
-        interned: many d(m) share a term, and a term's odd mask can be
-        thousands of bits long.
+        The Leibniz sum over m's factors: with m = E·y_1⋯y_k, E the even
+        part and the odd y_j ascending,
+        d(m) = Σ_{x^e in E} e·d(x)·(m/x) + Σ_j (-1)^(j-1) d(y_j)·(m/y_j).
+        d(x) is odd and E/x even, so d(x) goes first with no sign; d(y_j)
+        is even and commutes with every factor. den is the lcm of the
+        factors' denominators, even where part of the sum cancels: a
+        larger den scales a whole block or column by a positive integer,
+        which no RREF, kernel basis, span or complement sees.
         """
-        cached = self._d_cache.get(m)
-        if cached is not None:
-            return cached
-        gs = self.gs
-        if m.odd:
-            top = 1 << (m.odd.bit_length() - 1)
-            rest = Monomial(m.even, m.odd ^ top)
-            gen = gs.odd[top.bit_length() - 1]
-            sign_g = -1 if rest.odd.bit_count() & 1 else 1
-        else:
-            o, e = m.even[-1]
-            rest = Monomial(m.even[:-1] + (((o, e - 1),) if e > 1 else ()), 0)
-            gen = gs.even[o]
-            sign_g = 1
-        den_r, t_r = self._d_int(rest)
-        den_g, t_g = self._d_gen[gen.index]
-        if not t_r and not t_g:
-            self._d_cache[m] = _NO_D
+        gs, d_gen = self.gs, self._d_gen
+        parts = []  # (multiplicity or sign, d(factor), m without the factor)
+        for i, (o, e) in enumerate(m.even):
+            image = d_gen[gs.even[o].index]
+            if image[1]:
+                rest = m.even[:i] + (((o, e - 1),) if e > 1 else ()) + m.even[i + 1:]
+                parts.append((e, image, Monomial(rest, m.odd)))
+        sign = 1
+        for o in _bits(m.odd):
+            image = d_gen[gs.odd[o].index]
+            if image[1]:
+                parts.append((sign, image, Monomial(m.even, m.odd ^ (1 << o))))
+            sign = -sign
+        if not parts:
             return _NO_D
-        den = lcm(den_r, den_g)
+        den = lcm(*(image[0] for _, image, _ in parts))
         mul = gs.mul_monomials
-        term = self._terms.setdefault
         out = {}
-        if t_r:
-            # t ↦ t·g is injective where it does not vanish
-            gm = gs.monomial_of(gen)
-            s = den // den_r
-            for t, c in t_r.items():
-                sign, mm = mul(t, gm)
+        for k, (den_x, terms), rest in parts:
+            s = k * (den // den_x)
+            for t, c in terms.items():
+                sign, mm = mul(t, rest)
                 if sign:
-                    out[term(mm, mm)] = sign * s * c
-        if t_g:
-            s = sign_g * (den // den_g)
-            for t, c in t_g.items():
-                sign, mm = mul(rest, t)
-                if sign:
-                    mm = term(mm, mm)
                     v = out.get(mm, 0) + sign * s * c
                     if v:
                         out[mm] = v
                     else:
                         del out[mm]
-        res = (den, out) if out else _NO_D
-        self._d_cache[m] = res
-        return res
+        return (den, out) if out else _NO_D
 
     def d_monomial(self, m: Monomial) -> Element:
         """d(m) as an ``Element``: an uncached view of the integer form."""

@@ -237,27 +237,34 @@ class GeneratorSet:
         return max(self.even[m.even[-1][0]].index if m.even else -1,
                    self.odd[m.odd.bit_length() - 1].index if m.odd else -1)
 
-    def count_monomials(self, degree: int) -> int:
-        """Monomial count by series coefficients; no enumeration."""
-        counts = [1] + [0] * degree
+    def _series(self, top: int) -> list:
+        """Monomial counts of degrees 0..top by series coefficients."""
+        counts = [1] + [0] * top
         for g in self.gens:
             d = g.degree
             if g.is_odd:
-                for i in range(degree, d - 1, -1):
+                for i in range(top, d - 1, -1):
                     counts[i] += counts[i - d]
             else:
-                for i in range(d, degree + 1):
+                for i in range(d, top + 1):
                     counts[i] += counts[i - d]
-        return counts[degree]
+        return counts
+
+    def count_monomials(self, degree: int) -> int:
+        """Monomial count by series coefficients; no enumeration."""
+        return self._series(degree)[degree]
 
     def check_budget(self, degrees, budget: int | None = None):
         """Raise BudgetExceeded at the first degree with more monomials
         than ``budget`` (default ``configured_budget()``); counts only,
-        nothing is enumerated."""
+        nothing is enumerated. A degree past the series makes one to 2·deg."""
         if budget is None:
             budget = configured_budget()
+        counts: list = []
         for deg in degrees:
-            est = self.count_monomials(deg)
+            if deg >= len(counts):
+                counts = self._series(max(2 * deg, 8))
+            est = counts[deg]
             if est > budget:
                 raise BudgetExceeded(deg, est, budget)
 

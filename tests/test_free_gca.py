@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sphomotopy import free_gca as fg
+from sphomotopy.errors import BudgetExceeded
 from sphomotopy.moduli import full_generators
 
 
@@ -228,3 +229,29 @@ def test_enumerated_weights_match_weight_grouping(make_gs):
         # same weights in the same order, same monomials in the same order
         assert list(got.items()) == list(want.items()), degree
         assert sum(map(len, got.values())) == gs.count_monomials(degree)
+
+
+def _first_over(gs, degrees, budget):
+    """(degree, estimate) where a count per degree first exceeds
+    ``budget``, or None."""
+    for deg in degrees:
+        est = gs.count_monomials(deg)
+        if est > budget:
+            return deg, est
+    return None
+
+
+@pytest.mark.parametrize("genus", [2, 4, 9, 25])
+@pytest.mark.parametrize("budget", [1, 60, 10_000, 500_000, 10**30])
+def test_check_budget_refuses_where_the_per_degree_count_does(genus, budget):
+    """One series for many degrees raises at the same degree, with the
+    same estimate, as counting each degree on its own; ascending and not."""
+    gs = full_generators(genus)
+    for degrees in (range(6 * genus + 4), [30, 4, 61, 2, 17, 9, 0, 130, 5]):
+        want = _first_over(gs, degrees, budget)
+        if want is None:
+            gs.check_budget(degrees, budget)
+            continue
+        with pytest.raises(BudgetExceeded) as err:
+            gs.check_budget(degrees, budget)
+        assert (err.value.degree, err.value.estimate) == want
