@@ -87,11 +87,11 @@ def as_element(gs, image) -> Element:
     return Element(gs, {m: Fraction(c, den) for m, c in terms.items()})
 
 
-def ideal_block(gs, relation_groups, n: int, w, lower):
+def ideal_block(gs, relation_groups, n: int, w, lower, monos):
     """``(pivot_cols, rows)``: the RREF of I^n_w, the weight-w block of the
     degree-n part of the ideal I that ``relation_groups`` (see
-    ``DGA.relation_groups``) generates, over the positions of the free
-    block ``gs.basis_by_weight(n)[w]``, as primitive integer rows.
+    ``DGA.relation_groups``) generates, over the positions of ``monos``,
+    the free block's monomials in basis order, as primitive integer rows.
 
     I^n = E^n + Σ_x x·I^{n-|x|} over the generators x, since e·m =
     ±x·(e·m') for e ∈ E and m = ±x·m' of positive degree. So the block is
@@ -104,7 +104,7 @@ def ideal_block(gs, relation_groups, n: int, w, lower):
     vanish, so terms map one by one without summing.
     """
     mul = gs.mul_monomials
-    index = {m: i for i, m in enumerate(gs.basis_by_weight(n)[w])}
+    index = {m: i for i, m in enumerate(monos)}
     rows = [ela._row((index[m], c) for m, c in terms)
             for terms in relation_groups.get(n, {}).get(w, ())]
     for x in gs.gens:
@@ -334,7 +334,8 @@ class DGA:
             block = self._ideal_rows[k].get(u)
             return block and (zip(block[0], repeat(1)), block[1])
 
-        return ideal_block(self.gs, self.relation_groups, n, w, lower)
+        return ideal_block(self.gs, self.relation_groups, n, w, lower,
+                           self.gs.basis_by_weight(n)[w])
 
     def reduce(self, x: Element) -> Element:
         """Canonical form of ``x`` in the quotient (identity for free DGAs).

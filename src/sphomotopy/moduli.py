@@ -10,17 +10,17 @@ form before being trusted.
 
 The full ring is built and checked once, in ``_full_ring``, for the model
 and the Betti numbers alike; a whole degree is row-reduced when first read.
-The checks row-reduce only the dominant weight blocks of the relation
-ideal I, with the one recursion ``dga.ideal_block`` that builds every
-block of the ring: I^n_w is spanned by the relations of degree n and
-weight w and the products x·ρ, x a generator and ρ over spanning rows
-of I^{n-deg x}_u, u = w - weight(x). Here the rows of I_u are those of
-the dominant block I_{rep(u)}, moved by the certified Weyl symmetry φ_u.
+The checks enumerate and row-reduce only the dominant weight blocks of
+the relation ideal I, with the one recursion ``dga.ideal_block`` that
+builds every block of the ring: I^n_w is spanned by the relations of
+degree n and weight w and the products x·ρ, x a generator and ρ over
+spanning rows of I^{n-deg x}_u, u = w - weight(x). Here the rows of I_u
+are those of the dominant block I_{rep(u)}, moved by the certified Weyl
+symmetry φ_u.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
@@ -378,12 +378,16 @@ def _full_ring(g: int, budget: int | None):
     """``(ring, betti)``: the quotient of the free algebra by the ideal on
     E, and its Betti numbers, once every postcondition has passed.
 
-    The dimensions come from the dominant weight blocks only. Once the
-    relation ideal I is certified Weyl-stable, every φ_w (w ∈ W)
-    preserves I and maps the weight-μ block of the free algebra onto the
-    weight-wμ block up to signs, so dim A^n_μ = dim A^n_{wμ} and
-    dim A^n = Σ over the weights μ of the free degree-n basis of
-    dim A^n_{dominant rep of μ}. Failure signals a bug, not a user error.
+    The dimensions come from the dominant weight blocks only. γ_i adds
+    ±L_i at most once and α, β have weight 0, so every weight of the free
+    algebra has entries in {-1, 0, 1}, and its dominant weights are
+    μ_j = (1^j, 0^{g-j}), j = 0..g. φ_u maps the free (n, rep(u)) block
+    one to one onto the (n, u) block up to signs, so the weights of the
+    free degree-n basis are the W-orbits of the μ_j whose block is not
+    empty, and the orbit of μ_j has C(g, j)·2^j weights. Once the relation
+    ideal I is certified Weyl-stable, φ_u preserves I too, so
+    dim A^n_u = dim A^n_{rep(u)} and dim A^n = Σ_j C(g, j)·2^j·dim A^n_{μ_j}.
+    Failure signals a bug, not a user error.
 
     The dominant blocks of I come from ``_dominant_blocks``, by the
     recursion of ``dga.ideal_block``, which reads each lower block I^k_u
@@ -395,17 +399,15 @@ def _full_ring(g: int, budget: int | None):
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
     gs = full_generators(g)
-    # the checks enumerate the free bases through degree 6g-3: refuse
-    # before forming products
+    # refuse before forming products, on the counts through degree 6g-3:
+    # the model path reads whole degrees of the free algebra
     gs.check_budget(range(6 * g - 2), budget)
     ring = DGA(gs, {}, relations=relation_subspace_E(g))
     _certify_weyl_stable(ring, g)
-    blocks = _dominant_blocks(ring, g)
-    dims = []
-    for n in range(6 * g - 2):
-        reps = Counter(_dominant_orbit_rep(w) for w in gs.basis_by_weight(n))
-        dims.append(sum(k * (len(blocks[n, rep][0]) - len(blocks[n, rep][1]))
-                        for rep, k in reps.items()))
+    dims = [0] * (6 * g - 2)
+    for (n, w), (monos, pivot_cols, _) in _dominant_blocks(ring, g).items():
+        j = sum(w)
+        dims[n] += comb(g, j) * 2 ** j * (len(monos) - len(pivot_cols))
     _check_ring_dims(g, dims)
     betti = dims[:6 * g - 5]
     formula = betti_decomposition(g)
@@ -417,10 +419,11 @@ def _full_ring(g: int, budget: int | None):
 
 
 def _dominant_blocks(ring: DGA, g: int) -> dict:
-    """``{(n, w): (monos, pivot_cols, rows)}`` for each dominant weight w
-    of the free degree-n basis, n = 0..6g-3: the block's free monomials
-    and ``dga.ideal_block`` of I^n_w, which reads I^k_u as the dominant
-    block (k, rep(u)), built already, moved by φ_u (see ``_full_ring``).
+    """``{(n, μ_j): (monos, pivot_cols, rows)}`` for n = 0..6g-3 and each
+    dominant weight μ_j = (1^j, 0^{g-j}) whose free degree-n block is not
+    empty (see ``_full_ring``): the block's free monomials, enumerated on
+    their own, and ``dga.ideal_block`` of I^n_{μ_j}, which reads I^k_u as
+    the dominant block (k, rep(u)), built already, moved by φ_u.
     """
     gs = ring.gs
     blocks: dict = {}
@@ -433,10 +436,12 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
                            {}), low[2]
 
     for n in range(6 * g - 2):
-        for w, monos in gs.basis_by_weight(n).items():
-            if w == _dominant_orbit_rep(w):
+        for j in range(g + 1):
+            w = (1,) * j + (0,) * (g - j)
+            monos = gs.basis(n, w)
+            if monos:
                 blocks[n, w] = (monos, *ideal_block(gs, ring.relation_groups,
-                                                    n, w, lower))
+                                                    n, w, lower, monos))
     return blocks
 
 

@@ -231,6 +231,23 @@ def test_enumerated_weights_match_weight_grouping(make_gs):
         assert sum(map(len, got.values())) == gs.count_monomials(degree)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_block_equals_its_slice_of_the_degree(genus):
+    """``basis(n, w)`` enumerates one block on its own: the list the whole
+    degree holds for w, in the same order, and [] for a weight the degree
+    does not have (one of another degree, or out of reach of every
+    degree)."""
+    gs = full_generators(genus)
+    degrees = range(6 * genus - 2)
+    weights = {w for n in degrees for w in gs.basis_by_weight(n)}
+    weights |= {(2,) + (0,) * (genus - 1), (0,) * (genus - 1) + (-2,)}
+    for n in degrees:
+        by_w = gs.basis_by_weight(n)
+        assert weights - set(by_w), n
+        for w in weights:
+            assert gs.basis(n, w) == by_w.get(w, []), (n, w)
+
+
 def _first_over(gs, degrees, budget):
     """(degree, estimate) where a count per degree first exceeds
     ``budget``, or None."""

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA
 from sphomotopy.errors import ValidationFailure
-from sphomotopy.free_gca import Element, Monomial
-from sphomotopy.sp_characters import _dominant_orbit_rep
+from sphomotopy.free_gca import Element, GeneratorSet, Monomial
+from sphomotopy.sp_characters import _dominant_orbit_rep, weyl_orbit
 
 import relation_reference
 from quotient_reference import whole_degree_quotient
@@ -167,6 +169,40 @@ def test_dominant_blocks_match_full_ring(g):
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_dominant_blocks_count_the_weights_of_each_degree(g):
+    """The count the dimensions were once read with, by the dominant
+    representative of each weight of the whole free degree, against the
+    blocks ``_dominant_blocks`` builds: the representatives are the
+    μ_j = (1^j, 0^{g-j}) it keeps, each counted C(g, j)·2^j = |W·μ_j|
+    times, and that count gives the Betti numbers."""
+    ring = moduli.build_cohomology_algebra(g)
+    blocks = moduli._dominant_blocks(ring, g)
+    dims = []
+    for n in range(6 * g - 2):
+        reps = Counter(_dominant_orbit_rep(w)
+                       for w in ring.gs.basis_by_weight(n))
+        assert set(reps) == {w for k, w in blocks if k == n}, n
+        for mu, count in reps.items():
+            j = sum(mu)
+            assert mu == (1,) * j + (0,) * (g - j)
+            assert count == comb(g, j) * 2 ** j == len(weyl_orbit(mu)), (n, mu)
+        dims.append(sum(count * (len(blocks[n, mu][0]) - len(blocks[n, mu][1]))
+                        for mu, count in reps.items()))
+    assert dims[:6 * g - 5] == moduli.betti_numbers(g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_betti_numbers_enumerate_no_whole_degree(monkeypatch, g):
+    """The Betti path enumerates the dominant blocks one by one and never
+    a whole degree of the free algebra."""
+    def whole_degree(self, degree):
+        raise AssertionError(f"degree {degree} enumerated in full")
+
+    monkeypatch.setattr(GeneratorSet, "_built", whole_degree)
+    assert moduli.betti_numbers(g) == moduli.betti_decomposition(g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_dominant_blocks_above_3g_match_all_products(g):
     """In every degree a dominant block is row-reduced from the relations
     and generator multiples of lower RREF rows moved by φ_u. Every block
@@ -270,12 +306,14 @@ def test_simple_reflections_are_signed_permutations_of_reflected_rho(g):
 
 
 def test_model_reads_only_the_degrees_it_needs():
-    """The ring's checks row-reduce dominant blocks only; a whole degree is
-    row-reduced when the model first reads it."""
+    """The ring's checks enumerate and row-reduce dominant blocks only; a
+    whole degree is enumerated and row-reduced when the model first
+    reads it."""
     target = moduli.build_cohomology_algebra(4)
     sullivan.build(target, 6)
     assert target._quot_cache
     assert max(target._quot_cache) <= 7
+    assert max(target.gs._bases) <= 7
 
 
 def test_relations_die_in_quotient():
