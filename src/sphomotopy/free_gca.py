@@ -11,8 +11,8 @@ Monomials are value objects independent of later generator additions, so
 a generator set grows append-only (the degreewise model construction
 relies on this). A degree's basis is built once and extended, not
 rebuilt, when generators are added: each monomial is made exactly once.
-A caller that reads only a few blocks enumerates each (degree, weight)
-block on its own instead, and nothing of it is kept.
+Sizes come from the Poincaré series alone (``_series``), which the budget
+check reads before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
@@ -172,72 +172,10 @@ class GeneratorSet:
 
     # -- bases -----------------------------------------------------------
 
-    def basis(self, degree: int, weight=None) -> list[Monomial]:
-        """All monomials of the exact degree (and weight), canonical order.
-
-        With a weight, the block is enumerated on its own and not kept
-        (``_block``): the list ``basis_by_weight(degree)`` holds for the
-        weight, or [] if there is none, with no other weight enumerated."""
-        if weight is None:
-            by_w = self.basis_by_weight(degree)
-            return [m for w in sorted(by_w) for m in by_w[w]]
-        return sorted(self._block(degree, tuple(weight)))
-
-    def _block(self, degree: int, weight: tuple) -> list:
-        """The monomials of one (degree, weight) block, unsorted.
-
-        A search picks each generator's exponent (at most 1 if it is odd),
-        the generators ordered by their first nonzero weight coordinate,
-        the weight-0 ones last. A coordinate of the weight still missing
-        changes only at a generator with a nonzero entry there, so after
-        each choice those coordinates must lie within what the generators
-        after it can add, an odd one counted once and an even one up to
-        ⌊degree/deg⌋ times; a branch stops where one does not.
-        """
-        size = self.weight_len
-        low, high = [0] * size, [0] * size
-        order = sorted(self.gens, key=lambda g: next(
-            (i for i, c in enumerate(g.weight) if c), size))
-        steps = []  # per generator, last first, with the reach after it
-        for g in reversed(order):
-            cap = 1 if g.is_odd else degree // g.degree
-            steps.append((g.ordinal, g.degree, g.is_odd, [
-                (i, c, low[i], high[i]) for i, c in enumerate(g.weight) if c]))
-            for i, c in enumerate(g.weight):
-                if c < 0:
-                    low[i] += cap * c
-                else:
-                    high[i] += cap * c
-        steps.reverse()
-        if len(weight) != size or not (
-                all(map(le, low, weight)) and all(map(le, weight, high))):
-            return []
-        out = []
-
-        def walk(k, left, missing, even, odd):
-            if not left:
-                if not any(missing):
-                    out.append(Monomial(tuple(sorted(even)), odd))
-                return
-            if k == len(steps):
-                return
-            ordinal, d, is_odd, bounds = steps[k]
-            for e in range(((d <= left) if is_odd else left // d) + 1):
-                rest = list(missing)
-                for i, c, lo, hi in bounds:
-                    rest[i] -= e * c
-                    if not lo <= rest[i] <= hi:
-                        break
-                else:
-                    if not e:
-                        walk(k + 1, left, missing, even, odd)
-                    elif is_odd:
-                        walk(k + 1, left - d, rest, even, odd | 1 << ordinal)
-                    else:
-                        walk(k + 1, left - e * d, rest, even + ((ordinal, e),), odd)
-
-        walk(0, degree, list(weight), (), 0)
-        return out
+    def basis(self, degree: int) -> list[Monomial]:
+        """All monomials of the exact degree, by weight, then canonical order."""
+        by_w = self.basis_by_weight(degree)
+        return [m for w in sorted(by_w) for m in by_w[w]]
 
     def basis_by_weight(self, degree: int) -> dict:
         """{weight: sorted monomials}, weights in the order of their first
@@ -311,10 +249,6 @@ class GeneratorSet:
                 for i in range(d, top + 1):
                     counts[i] += counts[i - d]
         return counts
-
-    def count_monomials(self, degree: int) -> int:
-        """Monomial count by series coefficients; no enumeration."""
-        return self._series(degree)[degree]
 
     def check_budget(self, degrees, budget: int | None = None):
         """Raise BudgetExceeded at the first degree with more monomials

@@ -389,12 +389,13 @@ def _full_ring(g: int, budget: int | None):
     dim A^n_u = dim A^n_{rep(u)} and dim A^n = Σ_j C(g, j)·2^j·dim A^n_{μ_j}.
     Failure signals a bug, not a user error.
 
-    The dominant blocks of I come from ``_dominant_blocks``, by the
-    recursion of ``dga.ideal_block``, which reads each lower block I^k_u
-    as φ_u of the dominant block I^k_{rep(u)}. The certificate runs first,
-    and φ_u (``_signed_permutation``) is a product of the simple
-    reflections it certifies, so φ_u(I^k_{rep(u)}) = I^k_u: the moved rows
-    span I^k_u, and the RREF, being unique, is the ring's own.
+    The dominant blocks come from ``_dominant_blocks``: their free
+    monomials from their shape, and I by the recursion of
+    ``dga.ideal_block``, which reads each lower block I^k_u as φ_u of the
+    dominant block I^k_{rep(u)}. The certificate runs first, and φ_u
+    (``_signed_permutation``) is a product of the simple reflections it
+    certifies, so φ_u(I^k_{rep(u)}) = I^k_u: the moved rows span I^k_u,
+    and the RREF, being unique, is the ring's own.
     """
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
@@ -421,12 +422,14 @@ def _full_ring(g: int, budget: int | None):
 def _dominant_blocks(ring: DGA, g: int) -> dict:
     """``{(n, μ_j): (monos, pivot_cols, rows)}`` for n = 0..6g-3 and each
     dominant weight μ_j = (1^j, 0^{g-j}) whose free degree-n block is not
-    empty (see ``_full_ring``): the block's free monomials, enumerated on
-    their own, and ``dga.ideal_block`` of I^n_{μ_j}, which reads I^k_u as
-    the dominant block (k, rep(u)), built already, moved by φ_u.
+    empty (see ``_full_ring``): the block's free monomials, built from
+    their shape (``_free_block``), and ``dga.ideal_block`` of I^n_{μ_j},
+    which reads I^k_u as the dominant block (k, rep(u)), built already,
+    moved by φ_u.
     """
     gs = ring.gs
     blocks: dict = {}
+    evens: dict = {}  # shared by the blocks, see _free_block
 
     def lower(k, u):
         low = blocks.get((k, _dominant_orbit_rep(u)))
@@ -438,11 +441,38 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
     for n in range(6 * g - 2):
         for j in range(g + 1):
             w = (1,) * j + (0,) * (g - j)
-            monos = gs.basis(n, w)
+            monos = _free_block(g, n, j, evens)
             if monos:
                 blocks[n, w] = (monos, *ideal_block(gs, ring.relation_groups,
                                                     n, w, lower, monos))
     return blocks
+
+
+def _free_block(g: int, n: int, j: int, evens: dict) -> list:
+    """The monomials of ``full_generators(g)`` of degree n and weight μ_j,
+    in basis order.
+
+    Coordinate i of a monomial's weight is [γ_i present] - [γ_{i+g}
+    present], so a monomial of weight μ_j holds γ_1..γ_j, and for each
+    i > j both of γ_i, γ_{i+g} or neither, say k such pairs; the rest is
+    α^a·β^b with 2a + 4b = n - 3j - 6k. (α and β have even ordinals 0
+    and 1, γ_i odd ordinal i-1.) ``evens`` memoizes the α^a·β^b of each
+    leftover degree, so the blocks share them.
+    """
+    out = []
+    for k in range(g - j + 1):
+        left = n - 3 * j - 6 * k
+        if left < 0:
+            break
+        ev = evens.get(left)
+        if ev is None:
+            ev = evens[left] = [] if left % 2 else [
+                tuple((o, e) for o, e in ((0, (left - 4 * b) // 2), (1, b)) if e)
+                for b in range(left // 4 + 1)]
+        for pairs in combinations(range(j, g), k):
+            odd = (1 << j) - 1 + sum((1 << i) | (1 << (i + g)) for i in pairs)
+            out += [Monomial(e, odd) for e in ev]
+    return sorted(out)
 
 
 def _check_ring_dims(g: int, dims: list):

@@ -5,7 +5,7 @@ import pytest
 
 from sphomotopy import free_gca as fg
 from sphomotopy.errors import BudgetExceeded
-from sphomotopy.moduli import full_generators
+from sphomotopy.moduli import _free_block, full_generators
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def test_basis_weight_partition(gs2):
 
 def test_count_matches_enumeration(gs2):
     for degree in range(0, 12):
-        assert gs2.count_monomials(degree) == len(gs2.basis(degree))
+        assert gs2._series(degree)[degree] == len(gs2.basis(degree))
 
 
 def test_filtration(gs2):
@@ -206,7 +206,7 @@ def test_bases_extend_across_interleaved_adds():
     gs.add("v", 7, (0, 0))
     gs.add("e", 4, (0, 1))  # even, the degree and weight of b
     read(range(15))
-    assert gs.count_monomials(14) == len(gs.basis(14))
+    assert gs._series(14)[14] == len(gs.basis(14))
 
 
 def _model_generators():
@@ -228,31 +228,32 @@ def test_enumerated_weights_match_weight_grouping(make_gs):
         want = _reference_by_weight(gs, degree)
         # same weights in the same order, same monomials in the same order
         assert list(got.items()) == list(want.items()), degree
-        assert sum(map(len, got.values())) == gs.count_monomials(degree)
+        assert sum(map(len, got.values())) == gs._series(degree)[degree]
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
 def test_block_equals_its_slice_of_the_degree(genus):
-    """``basis(n, w)`` enumerates one block on its own: the list the whole
-    degree holds for w, in the same order, and [] for a weight the degree
-    does not have (one of another degree, or out of reach of every
-    degree)."""
+    """The dominant block built from its shape (``moduli._free_block``)
+    is the list the whole degree holds for μ_j, in the same order, and []
+    where the degree has no such weight."""
     gs = full_generators(genus)
-    degrees = range(6 * genus - 2)
-    weights = {w for n in degrees for w in gs.basis_by_weight(n)}
-    weights |= {(2,) + (0,) * (genus - 1), (0,) * (genus - 1) + (-2,)}
-    for n in degrees:
+    evens = {}
+    empty = 0
+    for n in range(6 * genus - 2):
         by_w = gs.basis_by_weight(n)
-        assert weights - set(by_w), n
-        for w in weights:
-            assert gs.basis(n, w) == by_w.get(w, []), (n, w)
+        for j in range(genus + 1):
+            w = (1,) * j + (0,) * (genus - j)
+            want = by_w.get(w, [])
+            assert _free_block(genus, n, j, evens) == want, (n, j)
+            empty += not want
+    assert empty
 
 
 def _first_over(gs, degrees, budget):
     """(degree, estimate) where a count per degree first exceeds
     ``budget``, or None."""
     for deg in degrees:
-        est = gs.count_monomials(deg)
+        est = gs._series(deg)[deg]
         if est > budget:
             return deg, est
     return None
@@ -272,3 +273,20 @@ def test_check_budget_refuses_where_the_per_degree_count_does(genus, budget):
         with pytest.raises(BudgetExceeded) as err:
             gs.check_budget(degrees, budget)
         assert (err.value.degree, err.value.estimate) == want
+
+
+def test_check_budget_doubles_its_series(monkeypatch):
+    """A scan of degrees 0..6g+3 makes a new series only at a degree past
+    the last one's top, and to at least twice that top: a handful of
+    series, not one per degree."""
+    gs = full_generators(40)
+    tops = []
+    series = fg.GeneratorSet._series
+
+    def counted(self, top):
+        tops.append(top)
+        return series(self, top)
+
+    monkeypatch.setattr(fg.GeneratorSet, "_series", counted)
+    gs.check_budget(range(6 * 40 + 4), 10**60)
+    assert tops and all(b >= 2 * a for a, b in zip(tops, tops[1:])), tops
