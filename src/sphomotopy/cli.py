@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import moduli, sp_characters, sullivan, tables
@@ -85,22 +86,33 @@ def _build_model(args) -> sullivan.MinimalModel:
 
 
 def cmd_minimal_model(args) -> int:
-    model = _build_model(args)
-    dump = {"target": args.target, **model.to_json_dict(genus=args.genus),
-            "max_degree": args.max_degree}
-    del model  # the dump is all that is left to print: free the model first
+    # the model is built and every stage decomposed before the first write,
+    # so an error prints alone; the output then goes out one generator at a
+    # time
+    stages = _build_model(args).json_stages()
     if args.format == "json":
-        print(json.dumps(dump, ensure_ascii=False))
+        write = sys.stdout.write
+        # the bytes of json.dumps(dump, ensure_ascii=False), key order
+        # target, stages, genus, max_degree
+        write('{"target": ' + json.dumps(args.target) + ', "stages": [')
+        for i, (head, gens) in enumerate(stages):
+            write((", " if i else "") + json.dumps(head, ensure_ascii=False)[:-1]
+                  + ', "generators": [')
+            for j, g in enumerate(gens):
+                write((", " if j else "") + json.dumps(g, ensure_ascii=False))
+            write("]}")
+        write(f'], "genus": {args.genus}, "max_degree": {args.max_degree}}}\n')
         return 0
     print(f"minimal model stages, genus {args.genus}, target {args.target}, "
           f"through degree {args.max_degree}")
-    for s in dump["stages"]:
+    for head, gens in stages:
         labels = ", ".join(
             f"{sp_characters.render_label(i['label'])}"
             + (f"×{i['mult']}" if i["mult"] > 1 else "")
-            for i in s["irreps"])
-        print(f"  V^{s['degree']}: dim {s['dim']}" + (f"  [{labels}]" if labels else ""))
-        for g in s["generators"]:
+            for i in head["irreps"])
+        print(f"  V^{head['degree']}: dim {head['dim']}"
+              + (f"  [{labels}]" if labels else ""))
+        for g in gens:
             rho = f"  rho: {g['rho_image']}" if g["rho_image"] != "0" else ""
             print(f"    {g['name']}  d: {g['d_image']}{rho}")
     return 0
@@ -270,7 +282,14 @@ def main(argv=None) -> int:
     try:
         if args.budget is not None and args.budget < 1:
             raise ValueError(f"--budget must be at least 1, got {args.budget}")
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SphomotopyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

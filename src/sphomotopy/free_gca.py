@@ -54,7 +54,7 @@ class Monomial(NamedTuple):
 ONE = Monomial((), 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     degree: int

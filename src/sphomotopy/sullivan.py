@@ -59,7 +59,7 @@ from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
                        configured_budget, render_terms)
 
 
-@dataclass
+@dataclass(slots=True)
 class StageGenerator:
     """One generator of a stage. ``d_int`` is the model DGA's own integer
     image ``(den, {monomial: int})`` of d(v), and ``rho`` the target
@@ -377,31 +377,33 @@ class MinimalModel:
                     bad.append(g.name)
         return bad
 
-    def to_json_dict(self, genus=None) -> dict:
-        """The stages as plain data, each image rendered from its integer
-        form."""
+    def json_stages(self) -> list:
+        """Per stage, its header ``{degree, dim, irreps}`` and a lazy
+        iterator of its generators as plain data, each image rendered from
+        its integer form. Every stage is decomposed before this returns, so
+        a stage whose weights form no character raises before anything is
+        rendered."""
         gs, tgs = self.dga.gs, self.target.gs
-        stages = []
-        for s in self.stages:
+
+        def head(s):
             irreps = sorted(s.irreps().items(), reverse=True)
-            stages.append({
-                "degree": s.degree,
-                "dim": s.dim,
-                "irreps": [{"label": list(l), "mult": m} for l, m in irreps],
-                "generators": [
-                    {
-                        "name": g.name,
-                        "degree": g.degree,
-                        "weight": list(g.weight),
-                        "part": g.part,
-                        "d_image": render_terms(gs, g.d_int[1], g.d_int[0]),
-                        "rho_image": "0" if g.rho is None else
-                        render_terms(tgs, {g.rho: 1}, 1),
-                    }
-                    for g in s.generators
-                ],
-            })
-        out = {"stages": stages}
+            return {"degree": s.degree, "dim": s.dim,
+                    "irreps": [{"label": list(l), "mult": m} for l, m in irreps]}
+
+        return [(head(s), ({
+            "name": g.name,
+            "degree": g.degree,
+            "weight": list(g.weight),
+            "part": g.part,
+            "d_image": render_terms(gs, g.d_int[1], g.d_int[0]),
+            "rho_image": "0" if g.rho is None else
+            render_terms(tgs, {g.rho: 1}, 1),
+        } for g in s.generators)) for s in self.stages]
+
+    def to_json_dict(self, genus=None) -> dict:
+        """The stages of ``json_stages``, materialized."""
+        out = {"stages": [{**head, "generators": list(gens)}
+                          for head, gens in self.json_stages()]}
         if genus is not None:
             out["genus"] = genus
         return out

@@ -15,12 +15,15 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SRC_DIR = os.path.dirname(os.path.dirname(sphomotopy.__file__))
 
 
-def run_cli(*args, timeout=None):
+def _child_env():
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "sphomotopy", *args],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout, env=_child_env(),
     )
 
 
@@ -286,6 +289,27 @@ def test_betti_mismatch_is_one_error_line(monkeypatch, capsys):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_model_stage_no_character_is_one_error_line(monkeypatch, capsys, fmt):
+    """A last stage whose weights form no character, which only a bug can
+    cause, ends in one ``error:`` line before any stage is written."""
+    from sphomotopy.errors import NotACharacter
+
+    irreps = sullivan.MinimalModelStage.irreps
+
+    def failing(stage):
+        if stage.degree == 5:
+            raise NotACharacter("multiplicity below zero")
+        return irreps(stage)
+
+    monkeypatch.setattr(sullivan.MinimalModelStage, "irreps", failing)
+    assert cli.main(["minimal-model", "--genus", "2", "--max-degree", "5",
+                     "--format", fmt]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: multiplicity below zero\n"
+
+
 def test_weyl_certificate_failure_is_one_error_line(monkeypatch, capsys):
     """Relations that are not Weyl-stable, which only a bug can produce,
     end in the certificate's one ``error:`` line and exit 1."""
@@ -350,7 +374,7 @@ def _perfbench_workloads(monkeypatch):
 
 
 # Hand-checked outputs beside the benchmark's workloads, each pinned by the
-# sha256 of its whole stdout.
+# sha256 of its whole stdout; JSON unless the command names a format.
 COMMAND_BYTES = {
     "betti-g6": ("betti --genus 6",
                  "8f276d4d50aeb5b3a156ad50642692c5b4b003872f7f6ba15179aab8b3fc4ffe"),
@@ -362,6 +386,11 @@ COMMAND_BYTES = {
                      "357cf0519fff2a6ca491f52b0935d8e067ee0ee74f8d14150d362961a0be9ce7"),
     "invariant-g3": ("minimal-model --genus 3 --target invariant --max-degree 12",
                      "91403950db045a58d6426a18f76abf6c67a86c94a55e1717e39884f7872afda1"),
+    "model-g2-text": ("minimal-model --genus 2 --max-degree 8 --format text",
+                      "6bb2d61d5804478d156cab9e3f852642d7dd1873e7d82215b965a724c206a658"),
+    "invariant-g3-text": ("minimal-model --genus 3 --target invariant "
+                          "--max-degree 12 --format text",
+                          "39ffe174a768c4161dd7ec97b2338e924f1717989058e0ab96c3e7af0e9dee66"),
     "relations-g3": ("relations --genus 3",
                      "8a49cafe212404a5cf43b1878f0bdc23b35c1f02f1f33377b0d6528deaba89ae"),
     "verify-low-degrees": ("verify --suite low-degrees",
@@ -381,13 +410,73 @@ COMMAND_BYTES = {
 def test_workload_output_bytes(monkeypatch, capsys, name):
     """The genus-2 model through degree 12 and the genus-5 Betti numbers
     print exactly the bytes the benchmark recorded (the golden file covers
-    only degrees up to 6), and each hand-checked command its pinned JSON."""
+    only degrees up to 6), and each hand-checked command its pinned bytes."""
     if name in COMMAND_BYTES:
         command, sha256 = COMMAND_BYTES[name]
-        argv = command.split() + ["--format", "json"]
+        argv = command.split()
+        if "--format" not in argv:
+            argv += ["--format", "json"]
     else:
         workload = _perfbench_workloads(monkeypatch)[name]
         argv, sha256 = list(workload.argv), workload.sha256
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+class _RecordingStdout:
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_minimal_model_streams_one_generator_at_a_time(monkeypatch):
+    # a return to printing the whole dump at once fails the size bound
+    out = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["minimal-model", "--genus", "3", "--max-degree", "10",
+                     "--format", "json"]) == 0
+    data = "".join(out.writes).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == \
+        "20d7912cdaf52b2b9bd8395f2778d4d2a2b34bace054d867e1d7a2c530bee5e4"
+    assert max(len(w.encode("utf-8")) for w in out.writes) < 0.02 * len(data)
+
+
+@pytest.mark.parametrize("genus, max_degree, target", [
+    (2, 7, "full"),
+    (3, 12, "invariant"),
+])
+def test_minimal_model_stream_is_the_dump(monkeypatch, genus, max_degree, target):
+    argv = ["minimal-model", "--genus", str(genus), "--max-degree",
+            str(max_degree), "--target", target, "--format", "json"]
+    out = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    model = cli._build_model(cli.make_parser().parse_args(argv))
+    dump = {"target": target, **model.to_json_dict(genus=genus),
+            "max_degree": max_degree}
+    assert json.loads("".join(out.writes)) == dump
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_is_quiet(fmt):
+    # the output (165 KB as text) is larger than a pipe's buffer, so the
+    # writer meets the closed pipe whatever the scheduling
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sphomotopy", "minimal-model", "--genus", "3",
+         "--max-degree", "12", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert err == b""

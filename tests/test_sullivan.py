@@ -533,6 +533,11 @@ def test_json_dump_shape(g2_model):
     assert set(gen) == {"name", "degree", "weight", "part", "d_image", "rho_image"}
 
 
+def test_generator_records_have_slots(g2_model):
+    assert not hasattr(g2_model.dga.gs.gens[0], "__dict__")
+    assert not hasattr(g2_model.stages[0].generators[0], "__dict__")
+
+
 def test_deterministic_rebuild(g2_model):
     again = sullivan.build(moduli.build_cohomology_algebra(2), 7)
     a = again.to_json_dict()
