@@ -2,12 +2,15 @@
 
 Two flavours share the class:
 
-* free DGAs — differential given on generators, extended by the graded
-  Leibniz rule; used for the degreewise models under construction;
-* quotient rings — a free algebra modulo a homogeneous relation
-  subspace, with zero differential; used for the cohomology rings the
-  models map into. The ring is the model's target as it stands: it
-  carries its per-weight bases and the reduction to the transversal.
+* free DGAs — ``DGA(gs)`` starts with d = 0 on its generators and grows
+  only through ``add_generator``, which adjoins a generator with its
+  image; d extends by the graded Leibniz rule. These are the degreewise
+  models under construction;
+* quotient rings — ``DGA(gs, relations=...)``, a free algebra modulo a
+  homogeneous relation subspace, with d = 0; used for the cohomology
+  rings the models map into. The ring is the model's target as it
+  stands: it carries its per-weight bases and the reduction to the
+  transversal.
 
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from them as the Leibniz
@@ -133,10 +136,10 @@ def ideal_block(gs, relation_groups, n: int, w, lower, monos):
 
 
 class DGA:
-    def __init__(self, gs: GeneratorSet, differential=None, relations=None):
+    def __init__(self, gs: GeneratorSet, *, relations=None):
         self.gs = gs
-        self.relations = list(relations) if relations else None
-        # generator index, resp. monomial -> d as (den, {monomial: int})
+        self.relations = None if relations is None else list(relations)
+        # generator index -> d as (den, {monomial: int})
         self._d_gen: dict[int, tuple] = {g.index: _NO_D for g in gs.gens}
         # ((degree, weight), its free monomials), see add_generator
         self._guard: tuple = (None, set())
@@ -144,49 +147,28 @@ class DGA:
         self._quot_cache: dict = {}
         # (n, weight) -> (source length, pivot columns) of the d(n) block
         self._d_pivots: dict = {}
-        for name, img in (differential or {}).items():
-            g = gs[name]
-            if not img.is_zero():
-                try:
-                    deg, wt = img.degree(), img.weight()
-                except ValueError as exc:
-                    raise ValidationFailure(f"d({name}): {exc}") from None
-                if deg != g.degree + 1:
-                    raise ValidationFailure(
-                        f"d({name}) must be homogeneous of degree {g.degree + 1}")
-                if wt != g.weight:
-                    raise ValidationFailure(
-                        f"d({name}) must preserve the weight {g.weight}")
-            self._d_gen[g.index] = ela._cleared(img.terms)
         # degree -> weight -> the relations there as integer term lists
         self.relation_groups: dict = {}
         # degree -> {weight: (free monomials, RREF rows of the ideal)}
         self._ideal_rows: dict = {}
-        if self.relations is not None:
-            if any(terms for _, terms in self._d_gen.values()):
-                raise ValidationFailure(
-                    "quotient targets must carry the zero differential")
-            for pos, r in enumerate(self.relations):
-                try:
-                    deg, wt = r.degree(), r.weight()
-                except ValueError as exc:
-                    raise ValidationFailure(f"relation {pos}: {exc}") from None
-                if deg is None:
-                    continue
-                # integer multiple of r: scaling a row leaves the RREF alone
-                _, terms = ela._cleared(r.terms)
-                self.relation_groups.setdefault(deg, {}).setdefault(wt, []).append(
-                    list(terms.items()))
-        bad = self.check_d_squared()
-        if bad:
-            raise ValidationFailure(f"d·d != 0 on generators: {bad}")
+        for pos, r in enumerate(self.relations or ()):
+            try:
+                deg, wt = r.degree(), r.weight()
+            except ValueError as exc:
+                raise ValidationFailure(f"relation {pos}: {exc}") from None
+            if deg is None:
+                continue
+            # integer multiple of r: scaling a row leaves the RREF alone
+            _, terms = ela._cleared(r.terms)
+            self.relation_groups.setdefault(deg, {}).setdefault(wt, []).append(
+                list(terms.items()))
 
     # -- construction ------------------------------------------------------
 
     def add_generator(self, name, degree, weight, d_image):
         """Append a generator with its differential, the integer image
-        ``(den, {monomial: int})`` (model growth path); returns the
-        generator and keeps the image itself.
+        ``(den, {monomial: int})``, the one way a free DGA gets a nonzero
+        differential; returns the generator and keeps the image itself.
 
         Only the block is checked here: every term of d_image must be a
         monomial of the free (degree+1, weight) block, so that d maps

@@ -67,14 +67,9 @@ def full_generators(g: int) -> GeneratorSet:
 class QTriple:
     """The generating triple of the invariant relation ideal at genus g."""
 
-    g: int
     q1: Element
     q2: Element
     q3: Element
-
-    @property
-    def triple(self):
-        return (self.q1, self.q2, self.q3)
 
 
 def q_polynomials(g: int, gs: GeneratorSet | None = None) -> QTriple:
@@ -94,7 +89,7 @@ def q_polynomials(g: int, gs: GeneratorSet | None = None) -> QTriple:
             beta * q1 + Fraction(2 * r, r + 1) * q3,
             gamma * q1,
         )
-    out = QTriple(g, q1, q2, q3)
+    out = QTriple(q1, q2, q3)
     degrees = (q1.degree(), q2.degree(), q3.degree())
     if degrees != (2 * g, 2 * g + 2, 2 * g + 4):
         raise ValidationFailure(f"relation degrees {degrees} are off for genus {g}")
@@ -334,7 +329,8 @@ def invariant_ring(g: int, check_up_to: int | None = None) -> DGA:
     if g < 1:
         raise ValueError("genus must be >= 1")
     gs = invariant_generators(g)
-    ring = DGA(gs, {}, relations=list(q_polynomials(g, gs).triple))
+    q = q_polynomials(g, gs)
+    ring = DGA(gs, relations=[q.q1, q.q2, q.q3])
     hi = check_up_to if check_up_to is not None else 6 * g - 6 + 2
     expected = hilbert_complete_intersection(g, hi)
     for n in range(hi + 1):
@@ -403,7 +399,7 @@ def _full_ring(g: int, budget: int | None):
     # refuse before forming products, on the counts through degree 6g-3:
     # the model path reads whole degrees of the free algebra
     gs.check_budget(range(6 * g - 2), budget)
-    ring = DGA(gs, {}, relations=relation_subspace_E(g))
+    ring = DGA(gs, relations=relation_subspace_E(g))
     _certify_weyl_stable(ring, g)
     dims = [0] * (6 * g - 2)
     for (n, w), (monos, pivot_cols, _) in _dominant_blocks(ring, g).items():

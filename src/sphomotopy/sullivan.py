@@ -115,7 +115,7 @@ class MinimalModel:
             raise TargetNotOneConnected("degree-1 part is nonzero")
         self.target = target
         self.budget = budget if budget is not None else configured_budget()
-        self.dga = DGA(GeneratorSet(target.gs.weight_len), {})
+        self.dga = DGA(GeneratorSet(target.gs.weight_len))
         self.stages: list[MinimalModelStage] = []
         # generator index -> its target monomial; absent when ρ(g) = 0
         self.rho: dict[int, Monomial] = {}

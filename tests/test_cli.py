@@ -215,6 +215,22 @@ def test_verify_higher_genus_3():
     assert "PASS suite higher-genus" in res.stdout
 
 
+@pytest.mark.parametrize("genus", [5, 6])
+def test_verify_higher_genus_gap_then_trivial_line(capsys, genus):
+    """A is free below degree 2g, so V^n = 0 for 5 <= n <= 2g-2 and
+    V^{2g-1} is the trivial line spanned by q1 (README, "Non-triviality
+    against the abstract"); the suite checks stages 2..2g+1."""
+    assert cli.main(["verify", "--suite", "higher-genus", "--genus",
+                     str(genus), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = {c["name"]: c["got"] for c in payload["checks"]}
+    assert payload["ok"] and len(got) == 2 * genus
+    assert all(got[f"genus {genus} stage {n}"] == "0"
+               for n in range(5, 2 * genus - 1))
+    trivial = "Γ(" + ",".join("0" * genus) + ")"
+    assert got[f"genus {genus} stage {2 * genus - 1}"] == trivial
+
+
 @pytest.mark.parametrize("genus", ["2", "0"])
 def test_verify_higher_genus_rejects_low_genus(genus):
     res = run_cli("verify", "--suite", "higher-genus", "--genus", genus)

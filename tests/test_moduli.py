@@ -347,7 +347,7 @@ def test_relation_subspace_is_minimal(g):
         gs = moduli.full_generators(g)
         relations = [Element(gs, dict(e.terms))
                      for i, e in enumerate(E) if i != drop]
-        ring = DGA(gs, {}, relations=relations)
+        ring = DGA(gs, relations=relations)
         dims = [ring.dim(n) for n in range(top + 1)]
         assert any(dims[n] > reference[n] for n in range(top + 1)), \
             f"dropping E[{drop}] changed nothing"

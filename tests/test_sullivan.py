@@ -15,7 +15,7 @@ def sphere_target():
     gs = GeneratorSet(0)
     gs.add("h", 2)
     h = gs.gen("h")
-    return DGA(gs, {}, relations=[h * h])
+    return DGA(gs, relations=[h * h])
 
 
 @pytest.fixture(scope="module")
@@ -58,19 +58,17 @@ def test_not_one_connected_rejected():
     gs.add("x", 2)
     x = gs.gen("x")
     with pytest.raises(TargetNotOneConnected, match="degree-1"):
-        sullivan.MinimalModel(DGA(gs, {}, relations=[x * x]))
+        sullivan.MinimalModel(DGA(gs, relations=[x * x]))
 
 
 def test_nonzero_differential_target_rejected():
     gs = GeneratorSet(0)
     gs.add("x", 2)
-    gs.add("y", 3)
     x = gs.gen("x")
-    with pytest.raises(ValidationFailure):
-        sullivan.MinimalModel(DGA(gs, {"y": x * x}))
-    # a quotient ring with a differential cannot be built at all
-    with pytest.raises(ValidationFailure, match="zero differential"):
-        DGA(gs, {"y": x * x}, relations=[x * x * x])
+    dga = DGA(gs)
+    dga.add_generator("y", 3, None, ela._cleared((x * x).terms))
+    with pytest.raises(ValidationFailure, match="quotient ring"):
+        sullivan.MinimalModel(dga)
 
 
 def test_free_target_rejected():
@@ -79,7 +77,16 @@ def test_free_target_rejected():
     gs = GeneratorSet(0)
     gs.add("x", 2)
     with pytest.raises(ValidationFailure, match="quotient ring"):
-        sullivan.MinimalModel(DGA(gs, {}))
+        sullivan.MinimalModel(DGA(gs))
+
+
+def test_empty_relations_give_a_quotient_ring():
+    """``relations=[]`` is the quotient by the zero ideal, a target like
+    any other ring; only ``DGA(gs)`` is free."""
+    gs = GeneratorSet(0)
+    gs.add("x", 2)
+    model = sullivan.build(DGA(gs, relations=[]), 4)
+    assert model.dims() == {2: 1, 3: 0, 4: 0}
 
 
 def test_g2_stage_dimensions(g2_model):
