@@ -57,8 +57,8 @@ class CohomologyBlock:
 
     ``coboundary_vectors`` and ``representative_vectors`` are sparse
     ``{position: rational}`` vectors over ``monomials``; the coboundary
-    vectors are integer, independent, and span the coboundaries, as pivot
-    columns of d or as RREF rows (see ``DGA.cohomology``). ``coordinates`` gives
+    vectors are integer, independent, and span the coboundaries: the
+    pivot columns of d (see ``DGA.cohomology``). ``coordinates`` gives
     each coboundary vector in the canonical basis of the cocycles, and
     ``positions`` says which cocycle basis vector each representative is.
     ``d_rows`` are the rows of d: n -> n+1 the cocycles were computed
@@ -381,14 +381,19 @@ class DGA:
         return src, [(tuple(row), tuple(row.values())) for row in mat.rows]
 
     def _coboundary_rows(self, n: int, w, src) -> list:
-        """The columns of d: n-1 -> n in the block, as integer rows over
-        the positions of ``src``, the block's degree-n basis; a zero column
-        gives ``((), ())``. d keeps to the block: ``add_generator`` checks
-        every image."""
+        """d of the degree-(n-1) sources at the pivot columns of the
+        d: n-1 -> n block, as integer rows over the positions of ``src``,
+        the block's degree-n basis. The pivots are those that
+        ``cohomology(n-1, w)`` recorded on the same sources, else those of
+        one elimination of the block; an empty block gives no rows. d keeps
+        to the block: ``add_generator`` checks every image."""
+        low = self.basis(n - 1, w) if n > 0 else []
+        size, pivots = self._d_pivots.get((n - 1, w), (0, ()))
+        if size != len(low):
+            pivots = ela._echelon_rows(self._d_rows(n - 1, w)[1])[0]
         index = {m: i for i, m in enumerate(src)}
-        d_int = self._d_int
-        return [ela._row((index[mm], c) for mm, c in d_int(m)[1].items())
-                for m in self.basis(n - 1, w)]
+        return [ela._row((index[mm], c) for mm, c in self._d_int(low[p])[1].items())
+                for p in pivots]
 
     def cohomology(self, n: int, weight=None) -> CohomologyBlock:
         """Exact coboundaries and a canonical basis of cohomology.
@@ -396,34 +401,28 @@ class DGA:
         The cocycles get the canonical kernel basis z_k of d(n): z_k is 1
         at its free column f_k, which is its last nonzero entry, and 0 at
         the other free columns. A cocycle b is therefore Σ_k b[f_k]·z_k.
-        The coboundaries are independent integer vectors spanning the image
-        of d(n-1): its pivot columns, cleared of denominators, when the
-        elimination of d(n-1) on the same source is on record, else the
-        RREF rows of its image. The representatives are the z_k at the
+        The coboundaries are the pivot columns of d(n-1), cleared of
+        denominators: independent integer vectors spanning its image (see
+        ``_coboundary_rows``). The representatives are the z_k at the
         non-pivot positions of the RREF of the coboundaries' coordinates,
         which depends only on their span, so the choice is reproducible
         and, blockwise, weight-pure.
 
         The pivot columns of an RREF are its leftmost independent columns.
-        A generator adjoined since the record was made adds no source
-        monomial if the source length is unchanged, and d of the old
-        sources is as it was, so those columns are still the leftmost
-        independent ones.
+        A generator adjoined since ``cohomology(n-1, w)`` recorded them
+        adds no source monomial if the source length is unchanged, and d
+        of the old sources is as it was, so they are still those columns.
         """
         w = tuple(weight) if weight is not None else None
         src, up_rows = self._d_rows(n, w)
         pivots, rref = ela._echelon_rows(up_rows)
         self._d_pivots[n, w] = (len(src), pivots)
         z_vecs = ela._kernel_vectors(pivots, rref, len(src))
-        b_in = self._coboundary_rows(n, w, src) if n > 0 else []
-        # B ⊆ Z: d(n) kills every column of d(n-1)
+        b_in = self._coboundary_rows(n, w, src)
+        # B ⊆ Z: d(n) kills the pivot columns of d(n-1), which span the rest
         if b_in and not ela._kills(up_rows, b_in):
             raise InternalInconsistency("coboundaries do not lie in cocycles")
-        record = self._d_pivots.get((n - 1, w))
-        if record is not None and record[0] == len(b_in):
-            b_rows = [dict(zip(*b_in[p])) for p in record[1]]
-        else:
-            b_rows = ela._echelon_rows(b_in)[1]
+        b_rows = [dict(zip(*b)) for b in b_in]
         free = [max(z) for z in z_vecs]
         coords = [{k: b[f] for k, f in enumerate(free) if f in b}
                   for b in b_rows]

@@ -165,9 +165,6 @@ class MinimalModel:
 
     # -- construction ----------------------------------------------------------
 
-    def _check_budget(self, n: int):
-        self.dga.gs.check_budget((n, n + 1, n + 2), self.budget)
-
     def _rho_columns(self, blk, a_block) -> list:
         """The ρ* matrix of a cohomology block: for each representative
         vector over ``blk.monomials``, its image as a sparse vector over
@@ -222,8 +219,8 @@ class MinimalModel:
             raise ValueError("stages must be built consecutively")
         if not self.stages and n != 2:
             raise ValueError("first stage is degree 2")
-        self._check_budget(n)
         gs = self.dga.gs
+        gs.check_budget((n, n + 1, n + 2), self.budget)
         A = self.target
         stage_gens: list[StageGenerator] = []
         counters: dict = {}
@@ -272,7 +269,6 @@ class MinimalModel:
                 if ela.rank(rows) != len(rows):
                     raise InternalInconsistency(
                         f"induced map not injective on H^{n + 1} at weight {w}")
-            if kernel:
                 n_plan.extend(self._kernel_part(blk, cols, kernel))
 
         # register after all cohomology in the old algebra is computed
@@ -454,6 +450,11 @@ def invariant_model(g: int, max_degree: int,
         raise ValueError("the finite invariant model needs genus >= 2")
     if max_degree < 2 * g + 3:
         raise ValueError("max_degree must reach the last generator degree")
+    # the stages' budget, before the ring (its α, β, γ are among these six)
+    gens = GeneratorSet(0)
+    for k, deg in enumerate((2, 4, 6, 2 * g - 1, 2 * g + 1, 2 * g + 3)):
+        gens.add(str(k), deg)
+    gens.check_budget(range(2, max_degree + 3), budget)
     A = moduli.invariant_ring(g, check_up_to=max_degree + 2)
     model = MinimalModel(A, budget)
     q = moduli.q_polynomials(g)
@@ -488,9 +489,8 @@ def invariant_model(g: int, max_degree: int,
             if not model.rho_star(gen.d_image).is_zero():
                 raise InternalInconsistency(
                     f"structure map fails to kill d({gen.name})")
-    for n in range(2, max_degree + 1):
-        model._check_budget(n)
-        model.stages.append(MinimalModelStage(n, by_degree.get(n, [])))
+    model.stages = [MinimalModelStage(n, by_degree.get(n, []))
+                    for n in range(2, max_degree + 1)]
     report = model.verify_quasi_iso(max_degree)
     if not report.ok:
         raise ValidationFailure(

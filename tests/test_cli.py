@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sphomotopy
-from sphomotopy import cli, sullivan
+from sphomotopy import cli, moduli, sullivan
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # the child interpreter imports the package this process imported
@@ -127,6 +127,25 @@ def test_model_ring_budget_exceeded_clean_error():
     assert len(lines) == 1
     assert lines[0].startswith("error: monomial budget exceeded")
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimal-model", "--target", "invariant"),
+    ("verify", "--suite", "invariant-model"),
+], ids=["minimal-model", "verify"])
+def test_invariant_budget_refuses_before_the_ring(monkeypatch, capsys, argv):
+    """The invariant target checks every stage's budget before it builds
+    its ring, which row-reduces each degree through max-degree + 2."""
+    def no_ring(*args, **kwargs):
+        raise AssertionError("the ring is built before the budget check")
+
+    monkeypatch.setattr(moduli, "invariant_ring", no_ring)
+    assert cli.main([*argv, "--genus", "2", "--max-degree", "400",
+                     "--budget", "100"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ("error: monomial budget exceeded at degree 36: "
+                       "estimated 101 monomials > budget 100\n")
+    assert out.out == ""
 
 
 def test_relations_budget_exceeded_clean_error():

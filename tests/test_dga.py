@@ -260,31 +260,72 @@ def test_coboundary_coordinates_read_off_free_columns():
 
 
 def test_coboundaries_from_recorded_pivot_columns():
-    """A block whose d(n-1) elimination is on record takes its coboundaries
-    from the pivot columns; recomputing it with the record cleared, by
-    eliminating the image, gives the same representatives, the same
-    positions and the same span of coboundaries."""
+    """Each coboundary vector is d of a degree-(n-1) source at a pivot
+    column recorded by the d(n-1) elimination. With the record cleared,
+    the pivots come from an elimination on the spot, which gives the same
+    coboundaries, representatives and positions."""
     dga = sullivan.build(moduli.build_cohomology_algebra(2), 8).dga
-    reused = fallback = 0
+    reused = empty = 0
     for n in range(10):
         for w in sorted(dga.gs.basis_by_weight(n)):
+            low = dga.basis(n - 1, w) if n > 0 else []
             record = dga._d_pivots.get((n - 1, w))
             blk = dga.cohomology(n, w)
-            if record is None or record[0] != len(dga.basis(n - 1, w)):
-                fallback += 1
+            if not low:
+                assert blk.coboundary_vectors == []
+                empty += 1
                 continue
+            assert record[0] == len(low), (n, w)
+            index = {m: i for i, m in enumerate(blk.monomials)}
+            assert blk.coboundary_vectors == [
+                {index[m]: c for m, c in dga._d_int(low[p])[1].items()}
+                for p in record[1]], (n, w)
             reused += 1
             del dga._d_pivots[n - 1, w]
             ref = dga.cohomology(n, w)
+            assert (n - 1, w) not in dga._d_pivots  # nothing kept
             dga._d_pivots[n - 1, w] = record
+            assert blk.coboundary_vectors == ref.coboundary_vectors, (n, w)
             assert blk.positions == ref.positions, (n, w)
             assert blk.representative_vectors == ref.representative_vectors, (n, w)
-            # one span has one RREF, and each set is independent
-            span = ela._echelon_rows(ela._int_rows(blk.coboundary_vectors))
-            assert span == ela._echelon_rows(ela._int_rows(ref.coboundary_vectors))
-            assert len(span[0]) == len(blk.coboundary_vectors) \
-                == len(ref.coboundary_vectors)
-    assert reused > 30 and fallback > 0
+    assert reused > 30 and empty > 0
+
+
+def test_d_int_once_per_d_block_source_and_recorded_pivot(monkeypatch):
+    """A model build applies d once to each source of the d blocks it
+    assembles and once to each pivot source its coboundaries come from,
+    and never assembles d of a whole lower block for them."""
+    target = moduli.build_cohomology_algebra(3)
+    seen = {"d_int": 0, "d_matrix": 0, "cohomology": 0, "sources": 0,
+            "pivots": 0, "columns": 0}
+    d_int, d_matrix, cohomology = DGA._d_int, DGA.d_matrix, DGA.cohomology
+
+    def counted_d_int(self, m):
+        seen["d_int"] += 1
+        return d_int(self, m)
+
+    def counted_d_matrix(self, n, weight=None):
+        out = d_matrix(self, n, weight)
+        seen["d_matrix"] += 1
+        seen["sources"] += len(out[0])
+        return out
+
+    def counted_cohomology(self, n, weight=None):
+        blk = cohomology(self, n, weight)
+        seen["cohomology"] += 1
+        seen["pivots"] += len(blk.coboundary_vectors)
+        seen["columns"] += len(self.basis(n - 1, weight)) if n > 0 else 0
+        return blk
+
+    monkeypatch.setattr(DGA, "_d_int", counted_d_int)
+    monkeypatch.setattr(DGA, "d_matrix", counted_d_matrix)
+    monkeypatch.setattr(DGA, "cohomology", counted_cohomology)
+    sullivan.build(target, 9)
+    # every pivot set was on record: no d block was assembled twice
+    assert seen["d_matrix"] == seen["cohomology"] > 0
+    assert seen["d_int"] == seen["sources"] + seen["pivots"]
+    # d of every lower column would be more
+    assert seen["columns"] > seen["pivots"] > 0
 
 
 def test_pivot_record_of_a_grown_source_is_not_used():

@@ -322,6 +322,27 @@ def test_invariant_model_genus_2():
     assert by_degree[2] == by_degree[4] == by_degree[6] == "0"
 
 
+def test_d_matrix_read_once_per_cohomology_block_in_invariant_model(
+        monkeypatch):
+    """``verify_quasi_iso`` reads each d block once: the coboundaries take
+    their pivots from the record of the block below, so no elimination on
+    the spot reads a d block a second time."""
+    calls = {"d_matrix": 0, "cohomology": 0}
+
+    def counted(name):
+        original = getattr(DGA, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(DGA, name, counted(name))
+    sullivan.invariant_model(4, 22)
+    assert calls["d_matrix"] == calls["cohomology"] > 0
+
+
 def test_invariant_model_genus_1_target_trivial():
     target = moduli.invariant_ring(1)
     model = sullivan.build(target, 8)
