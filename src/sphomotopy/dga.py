@@ -56,11 +56,12 @@ class CohomologyBlock:
     (degree, weight) block.
 
     ``coboundary_vectors`` and ``representative_vectors`` are sparse
-    ``{position: rational}`` vectors over ``monomials``; the coboundary
-    vectors are integer, independent, and span the coboundaries: the
-    pivot columns of d (see ``DGA.cohomology``). ``coordinates`` gives
-    each coboundary vector in the canonical basis of the cocycles, and
-    ``positions`` says which cocycle basis vector each representative is.
+    ``{position: int}`` vectors over ``monomials``. The coboundary vectors
+    are independent and span the coboundaries: the pivot columns of d
+    (see ``DGA.cohomology``). Each representative is den·z_k, z_k a
+    canonical cocycle basis vector and den one positive integer for the
+    block. ``coordinates`` gives each coboundary vector in the canonical
+    basis z_k, and ``positions`` says which z_k each representative is.
     ``d_rows`` are the rows of d: n -> n+1 the cocycles were computed
     from, as integer ``(cols, nums)`` pairs over the positions of
     ``monomials`` (see ``DGA._d_rows``); the model checks d²=0 against
@@ -403,10 +404,10 @@ class DGA:
         the other free columns. A cocycle b is therefore Σ_k b[f_k]·z_k.
         The coboundaries are the pivot columns of d(n-1), cleared of
         denominators: independent integer vectors spanning its image (see
-        ``_coboundary_rows``). The representatives are the z_k at the
-        non-pivot positions of the RREF of the coboundaries' coordinates,
-        which depends only on their span, so the choice is reproducible
-        and, blockwise, weight-pure.
+        ``_coboundary_rows``). The representatives are the z_k, as the
+        integer vectors den·z_k, at the non-pivot positions of the RREF of
+        the coboundaries' coordinates, which depends only on their span,
+        so the choice is reproducible and, blockwise, weight-pure.
 
         The pivot columns of an RREF are its leftmost independent columns.
         A generator adjoined since ``cohomology(n-1, w)`` recorded them

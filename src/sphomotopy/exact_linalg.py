@@ -5,14 +5,15 @@ through the reduced row echelon form computed here. RREF is unique, so
 all outputs are canonical: identical inputs give bit-identical results,
 which is what makes the downstream constructions reproducible.
 
-The public functions take sparse ``{index: Fraction}`` dicts without zero
-entries (``int`` values are rationals too): ``rank`` a list of vectors,
+The public functions take sparse ``{index: int}`` dicts without zero
+entries (empty ones are dropped): ``rank`` a list of vectors,
 ``kernel_basis`` a matrix's columns, and kernel vectors come back in the
 same form. The one elimination, ``_echelon_rows``, takes integer
 ``(cols, nums)`` rows and returns each RREF row as the primitive integer
 vector with a positive pivot entry; a caller that needs the unit pivot
 divides by it. ``RationalMatrix`` and the preimage solver, which takes
-and returns dense vectors, are kept only for the benchmark's layer tracer.
+and returns dense rational vectors, are kept only for the benchmark's
+layer tracer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from math import gcd, lcm
 from .errors import NotInImage
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class RationalMatrix:
@@ -47,12 +47,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
-
-
-def _int_rows(rows):
-    """Clear denominators rowwise, dropping stored zeros and zero rows."""
-    return [_row((c, v) for c, v in _cleared(row)[1].items() if v)
-            for row in rows if any(row.values())]
 
 
 def _row(pairs):
@@ -179,32 +173,35 @@ def _echelon_rows(int_rows):
 
 def rank(vectors) -> int:
     """Dimension of the span of the sparse ``vectors``."""
-    return len(_echelon_rows(_int_rows(vectors))[0])
+    return len(_echelon_rows([_row(v.items()) for v in vectors if v])[0])
 
 
 def kernel_basis(columns, nrows: int):
-    """Canonical null-space basis of the matrix with the sparse ``columns``
-    (each over ``range(nrows)``): one sparse vector per free column f,
-    with entry 1 at f and -rref[i][f] at each pivot p_i. f is the
-    vector's largest index.
+    """Null-space basis of the matrix with the sparse ``columns`` (each
+    over ``range(nrows)``): per free column f, a positive multiple of the
+    canonical vector, which is 1 at f and -rref[i][f] at each pivot p_i.
+    f is the vector's largest index.
 
     Empty list iff the matrix is injective on columns.
     """
-    rows = [{} for _ in range(nrows)]
+    rows = [[] for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, v in col.items():
-            rows[i][j] = v
-    return _kernel_vectors(*_echelon_rows(_int_rows(rows)), len(columns))
+            rows[i].append((j, v))
+    return _kernel_vectors(*_echelon_rows([_row(r) for r in rows if r]), len(columns))
 
 
 def _kernel_vectors(pivots, rows, ncols: int):
-    """``kernel_basis`` from the output of ``_echelon_rows``."""
+    """``kernel_basis`` from the output of ``_echelon_rows``: den times
+    each canonical vector, den the lcm of the rows' pivot entries."""
+    den = lcm(*(row[p] for p, row in zip(pivots, rows)))
     pivot_set = set(pivots)
-    basis = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
+    basis = {f: {f: den} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, rows):
+        s = den // row[p]
         for f, v in row.items():
             if f != p:  # an RREF row is zero at the other pivot columns
-                basis[f][p] = Fraction(-v, row[p])
+                basis[f][p] = -v * s
     return list(basis.values())
 
 
@@ -233,8 +230,8 @@ def _kills(int_rows, vectors) -> bool:
 
 def cokernel_complement_indices(image_gens, ambient_dim: int):
     """Non-pivot positions of the RREF of ``span(image_gens)``, given as
-    sparse vectors."""
-    pivots, _ = _echelon_rows(_int_rows(image_gens))
+    sparse integer vectors."""
+    pivots, _ = _echelon_rows([_row(v.items()) for v in image_gens if v])
     pivot_set = set(pivots)
     return [j for j in range(ambient_dim) if j not in pivot_set]
 
@@ -251,7 +248,8 @@ def _solve_augmented(m: RationalMatrix, bs):
                 if i >= m.nrows:
                     raise ValueError("right side longer than matrix height")
                 rows[i][col] = Fraction(v) * m.den
-    return _echelon_rows(_int_rows(rows))
+    return _echelon_rows([_row((c, v) for c, v in _cleared(r)[1].items() if v)
+                          for r in rows if any(r.values())])
 
 
 def preimage_many(m: RationalMatrix, bs):

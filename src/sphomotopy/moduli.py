@@ -131,8 +131,8 @@ def expand_invariant(poly: Element, gs_full: GeneratorSet, g: int) -> Element:
 
 
 def primitive_basis(g: int, k: int):
-    """Kernel basis of multiplication by ω^{g-k+1} on the k-fold products
-    of the odd classes. Dimension C(2g,k) - C(2g,k-2)."""
+    """Canonical kernel basis of multiplication by ω^{g-k+1} on the
+    k-fold products of the odd classes. Dimension C(2g,k) - C(2g,k-2)."""
     if not 0 <= k <= g:
         raise ValueError("need 0 <= k <= g")
     gs = full_generators(g)
@@ -146,14 +146,15 @@ def primitive_basis(g: int, k: int):
     columns = []
     for m in src:
         prod = omega_pow * Element(gs, {m: Fraction(1)})
-        columns.append({index[mm]: c for mm, c in prod.terms.items()})
+        # ω has integer coefficients, and so has ω^{g-k+1}·m
+        columns.append({index[mm]: c.numerator for mm, c in prod.terms.items()})
     vecs = ela.kernel_basis(columns, len(dst))
     expected = primitive_dimension(g, k)
     if len(vecs) != expected:
         raise ValidationFailure(
             f"primitive part ({g},{k}) has dimension {len(vecs)} != {expected}")
-    return [Element(gs, {src[i]: v for i, v in vec.items()})
-            for vec in vecs]
+    return [Element(gs, {src[i]: Fraction(v, den) for i, v in vec.items()})
+            for vec in vecs for den in (vec[max(vec)],)]
 
 
 def _odd_products(gs: GeneratorSet, k: int) -> list:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import exact_linalg as ela
 from . import moduli, sp_characters
@@ -57,6 +58,16 @@ from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
 from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
                        configured_budget, render_terms)
+
+
+def _combination(coeffs: dict, vectors) -> dict:
+    """Σ c·vectors[j] over the items (j, c) of ``coeffs``, of sparse
+    vectors ``{index: value}``, without zero entries."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        for i, v in vectors[j].items():
+            out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v}
 
 
 @dataclass(slots=True)
@@ -167,29 +178,23 @@ class MinimalModel:
 
     def _rho_columns(self, blk, a_block) -> list:
         """The ρ* matrix of a cohomology block: for each representative
-        vector over ``blk.monomials``, its image as a sparse vector over
-        the positions of ``a_block``, the target's basis in the block's
-        (degree, weight). The representatives share positions, so each
-        position's image is computed once."""
+        vector over ``blk.monomials``, its image as a sparse integer vector
+        over the positions of ``a_block``, the target's basis in the
+        block's (degree, weight). The representatives share positions, so
+        each position's image is computed once; the images are cleared
+        over one common denominator, which scales the whole matrix."""
         index = {m: i for i, m in enumerate(a_block)}
-        src = blk.monomials
-        images: dict = {}  # source position -> its image's terms
-        cols = []
-        for rep in blk.representative_vectors:
-            col: dict = {}
-            for j, c in rep.items():
-                image = images.get(j)
-                if image is None:
-                    image = images[j] = self.rho_of_monomial(src[j]).terms
-                    if not image.keys() <= index.keys():
-                        raise InternalInconsistency(
-                            f"target element leaves the ({blk.degree}, "
-                            f"{blk.weight}) block")
-                for t, v in image.items():
-                    i = index[t]
-                    col[i] = col.get(i, 0) + c * v
-            cols.append({i: v for i, v in col.items() if v})
-        return cols
+        src, reps = blk.monomials, blk.representative_vectors
+        images = {j: self.rho_of_monomial(src[j]).terms
+                  for j in {j for rep in reps for j in rep}}
+        if any(not image.keys() <= index.keys() for image in images.values()):
+            raise InternalInconsistency(
+                f"target element leaves the ({blk.degree}, {blk.weight}) block")
+        den = lcm(*(v.denominator for image in images.values() for v in image.values()))
+        for j, image in images.items():
+            images[j] = {index[t]: v.numerator * (den // v.denominator)
+                         for t, v in image.items()}
+        return [_combination(rep, images) for rep in reps]
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
                   rho_mono):
@@ -292,35 +297,28 @@ class MinimalModel:
           ``blk.monomials`` of word length < 2;
         * d²=0: the rows of the d(n+1) block that the cocycles were
           computed from (``blk.d_rows``) kill every d(v), one integer
-          product with the d(v) cleared of their denominators.
+          product.
+
+        Each d(v) is the primitive form of Σ kv·rep, a positive multiple of
+        the canonical d(v), which is 1 at its last position: den times it,
+        den that last entry.
         """
-        for kv in kernel:
-            image: dict = {}
-            for j, c in kv.items():
-                for i, v in rho_cols[j].items():
-                    image[i] = image.get(i, 0) + c * v
-            if any(image.values()):
-                raise InternalInconsistency(
-                    f"structure map fails to kill a differential at weight {blk.weight}")
+        if any(_combination(kv, rho_cols) for kv in kernel):
+            raise InternalInconsistency(
+                f"structure map fails to kill a differential at weight {blk.weight}")
         reps = blk.representative_vectors
-        vecs = []
-        for kv in kernel:
-            vec: dict = {}
-            for j, c in kv.items():
-                for i, v in reps[j].items():
-                    vec[i] = vec.get(i, 0) + c * v
-            vecs.append(ela._cleared({i: v for i, v in vec.items() if v}))
+        vecs = [ela._strip(*ela._row(_combination(kv, reps).items())) for kv in kernel]
         src = blk.monomials
         gs = self.dga.gs
         low = {i for i, m in enumerate(src) if gs.word_length(m) < 2}
-        if low and any(not low.isdisjoint(vec) for _, vec in vecs):
+        if low and any(not low.isdisjoint(cols) for cols, _ in vecs):
             raise InternalInconsistency(
                 f"a new differential has a word-length-1 term at weight {blk.weight}")
-        if not ela._kills(blk.d_rows, [ela._row(vec.items()) for _, vec in vecs]):
+        if not ela._kills(blk.d_rows, vecs):
             raise InternalInconsistency(
                 f"d(d(v)) != 0 for a new generator at weight {blk.weight}")
-        return [(blk.weight, (den, {src[i]: c for i, c in vec.items()}))
-                for den, vec in vecs]
+        return [(blk.weight, (nums[-1], {src[i]: c for i, c in zip(cols, nums)}))
+                for cols, nums in vecs]
 
     # -- reports ---------------------------------------------------------------
 

@@ -3,7 +3,7 @@ one (degree, weight) block at a time."""
 
 from fractions import Fraction
 
-from sphomotopy import exact_linalg as ela
+from cleared import echelon
 
 
 def whole_degree_quotient(ring, n):
@@ -25,7 +25,7 @@ def whole_degree_quotient(ring, n):
             prod = r * gs.element({m: 1})
             if not prod.is_zero():
                 rows.append({index[mm]: c for mm, c in prod.terms.items()})
-    pivots, rref_rows = ela._echelon_rows(ela._int_rows(rows))
+    pivots, rref_rows = echelon(rows)
     pivot_set = set(pivots)
     transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
     # the kernel's rows are primitive integer multiples of the RREF rows

@@ -6,6 +6,8 @@ from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli
 from sphomotopy.free_gca import Element
 
+from cleared import canonical, cleared_matrix
+
 
 def primitive_basis(g, k):
     """Kernel of ω^{g-k+1} on the k-fold odd products, with source and
@@ -23,8 +25,9 @@ def primitive_basis(g, k):
     for m in src:
         prod = omega_pow * gs.element({m: 1})
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
-    vecs = ela.kernel_basis(columns, len(dst))
-    return [Element(gs, {src[i]: v for i, v in vec.items()}) for vec in vecs]
+    vecs = ela.kernel_basis(cleared_matrix(columns), len(dst))
+    return [Element(gs, {src[i]: v for i, v in canonical(vec).items()})
+            for vec in vecs]
 
 
 def relation_subspace_E(g):

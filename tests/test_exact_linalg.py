@@ -7,6 +7,8 @@ import pytest
 from sphomotopy import exact_linalg as ela
 from sphomotopy.errors import NotInImage
 
+from cleared import canonical, cleared_matrix, cleared_rows, echelon
+
 F = Fraction
 
 
@@ -21,13 +23,13 @@ def rows_of(rows):
 
 
 def kernel(rows, ncols):
-    """``kernel_basis`` of the matrix with sparse ``rows``, handed over as
-    its columns."""
+    """``kernel_basis`` of the matrix with sparse rational ``rows``, handed
+    over as its columns, cleared by one common factor."""
     columns = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
             columns[j][i] = v
-    return ela.kernel_basis(columns, len(rows))
+    return ela.kernel_basis(cleared_matrix(columns), len(rows))
 
 
 def unit(pivots, rows):
@@ -38,8 +40,9 @@ def unit(pivots, rows):
 
 
 def rref(rows):
-    """``(rref rows, pivot columns)`` of the matrix with sparse ``rows``."""
-    pivots, out = ela._echelon_rows(ela._int_rows(rows))
+    """``(rref rows, pivot columns)`` of the matrix with sparse rational
+    ``rows``."""
+    pivots, out = echelon(rows)
     return unit(pivots, out), pivots
 
 
@@ -75,13 +78,32 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_line():
-    assert kernel(rows_of([[1, 1]]), 2) == [{0: F(-1), 1: F(1)}]
+    assert kernel(rows_of([[1, 1]]), 2) == [{0: -1, 1: 1}]
+
+
+def test_kernel_vectors_are_integer_multiples_of_the_canonical_ones():
+    # the RREF is [[1, 0, 3/2], [0, 1, -1/3]]: the canonical vector
+    # (-3/2, 1/3, 1) times 6, the lcm of the pivot entries 2 and 3
+    basis = ela.kernel_basis([{0: 2}, {1: 3}, {0: 3, 1: -1}], 2)
+    assert basis == [{2: 6, 0: -9, 1: 2}]
+    assert all(type(v) is int for v in basis[0].values())
+    assert canonical(basis[0]) == {0: F(-3, 2), 1: F(1, 3), 2: 1}
+
+
+def test_empty_vectors_skip_the_elimination(monkeypatch):
+    seen = []
+    echelon_rows = ela._echelon_rows
+    monkeypatch.setattr(ela, "_echelon_rows",
+                        lambda rows: seen.append(len(rows)) or echelon_rows(rows))
+    assert ela.rank([{}, {1: 2}, {}]) == 1
+    assert ela.cokernel_complement_indices([{}, {0: 1}], 2) == [1]
+    assert len(ela.kernel_basis([{}, {0: 1}, {}], 4)) == 2
+    assert seen == [1, 1, 1]
 
 
 def test_kernel_zero_matrix_full():
     basis = kernel(rows_of([[0, 0, 0]]), 3)
-    assert len(basis) == 3
-    assert basis[0] == {0: 1}
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_vectors_stay_sparse():
@@ -94,8 +116,8 @@ def test_kernel_vectors_stay_sparse():
 
 def complement(gens, dim):
     """Unit vectors at the complement positions: they span a complement."""
-    return [{j: F(1)}
-            for j in ela.cokernel_complement_indices(map(sparse, gens), dim)]
+    return [{j: 1} for j in ela.cokernel_complement_indices(
+        cleared_rows(map(sparse, gens)), dim)]
 
 
 def test_cokernel_complement_cases():
@@ -189,7 +211,7 @@ def _random_matrix(rng, nrows, ncols, density=0.5):
 def test_rank_nullity(seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-    assert ela.rank(m.rows) + len(kernel(m.rows, m.ncols)) == m.ncols
+    assert ela.rank(cleared_rows(m.rows)) + len(kernel(m.rows, m.ncols)) == m.ncols
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -209,7 +231,7 @@ def test_complement_plus_image_spans(seed):
     gens = [tuple(F(rng.randint(-4, 4)) for _ in range(dim))
             for _ in range(rng.randint(0, 5))]
     comp = complement(gens, dim)
-    gens = [sparse(v) for v in gens]
+    gens = cleared_rows(sparse(v) for v in gens)
     r = ela.rank(gens)
     assert r + len(comp) == dim
     assert ela.rank(gens + comp) == dim

@@ -11,6 +11,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from sphomotopy import exact_linalg as ela  # noqa: E402
 
+from cleared import canonical, cleared_matrix, echelon  # noqa: E402
+
 
 @st.composite
 def rational_matrices(draw):
@@ -47,7 +49,7 @@ SETTINGS = hypothesis.settings(max_examples=300, derandomize=True,
 def test_rref_matches_sympy(dense):
     # the kernel's rows are primitive integer vectors with a positive
     # pivot entry; divided by it, they are the RREF
-    pivots, got = ela._echelon_rows(ela._int_rows(_rows(dense)))
+    pivots, got = echelon(_rows(dense))
     for p, row in zip(pivots, got):
         assert all(type(v) is int for v in row.values())
         assert row[p] > 0 and gcd(*row.values()) == 1
@@ -63,7 +65,11 @@ def test_rref_matches_sympy(dense):
 @hypothesis.given(rational_matrices())
 def test_kernel_matches_sympy(dense):
     # sympy's nullspace vector for a free column is 1 there and -rref at
-    # the pivots: the canonical basis, in the same order
+    # the pivots: the canonical basis, in the same order. The kernel takes
+    # the matrix cleared by one common factor and returns integer vectors,
+    # each the canonical one times its entry at its largest index
     want = [{i: _fraction(x) for i, x in enumerate(v) if x}
             for v in sympy.Matrix(dense).nullspace()]
-    assert ela.kernel_basis(_columns(dense), len(dense)) == want
+    got = ela.kernel_basis(cleared_matrix(_columns(dense)), len(dense))
+    assert all(type(v) is int for vec in got for v in vec.values())
+    assert [canonical(vec) for vec in got] == want
