@@ -23,6 +23,7 @@ import sys
 
 from . import moduli, sp_characters, sullivan, tables
 from .errors import SphomotopyError
+from .free_gca import render_terms
 
 
 def cmd_betti(args) -> int:
@@ -55,7 +56,9 @@ def cmd_relations(args) -> int:
         "q": [q.q1.render(), q.q2.render(), q.q3.render()],
     }
     if g >= 2:
-        payload["E"] = [e.render() for e in moduli.relation_subspace_E(g)]
+        gs = moduli.full_generators(g)
+        payload["E"] = [render_terms(gs, terms, den)
+                        for den, terms in moduli.relation_subspace_E(g)]
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False))
     else:

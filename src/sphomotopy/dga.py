@@ -8,9 +8,11 @@ Two flavours share the class:
   models under construction;
 * quotient rings — ``DGA(gs, relations=...)``, a free algebra modulo a
   homogeneous relation subspace, with d = 0; used for the cohomology
-  rings the models map into. The ring is the model's target as it
-  stands: it carries its per-weight bases and the reduction to the
-  transversal.
+  rings the models map into. The relations come as integer images
+  ``(den, {monomial: int})``, the form of the differentials, and each is
+  checked to be homogeneous in degree and weight. The ring is the
+  model's target as it stands: it carries its per-weight bases and the
+  reduction to the transversal.
 
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from them as the Leibniz
@@ -108,6 +110,7 @@ def ideal_block(gs, relation_groups, n: int, w, lower, monos):
     vanish, so terms map one by one without summing.
     """
     mul = gs.mul_monomials
+    new = tuple.__new__  # a Monomial without the namedtuple's own __new__
     index = {m: i for i, m in enumerate(monos)}
     rows = [ela._row((index[m], c) for m, c in terms)
             for terms in relation_groups.get(n, {}).get(w, ())]
@@ -117,11 +120,24 @@ def ideal_block(gs, relation_groups, n: int, w, lower, monos):
         if low is None:
             continue
         columns, low_rows = low
-        xm = gs.monomial_of(x)
         images = []  # lower column -> (sign, column) of x·(-)
-        for m, s in columns:
-            sx, mm = mul(xm, m)
-            images.append((s * sx, index[mm]) if sx else (0, 0))
+        if x.degree % 2:
+            # x·m = ±(m.even, m.odd | bit): x moves past m's odd factors
+            # below it
+            bit = 1 << x.ordinal
+            below = bit - 1
+            for m, s in columns:
+                odd = m.odd
+                if odd & bit:
+                    images.append((0, 0))
+                else:
+                    images.append((-s if (odd & below).bit_count() & 1 else s,
+                                   index[new(Monomial, (m.even, odd | bit))]))
+        else:
+            xm = gs.monomial_of(x)
+            for m, s in columns:
+                sx, mm = mul(xm, m)
+                images.append((s * sx, index[mm]) if sx else (0, 0))
         for cols, nums in low_rows:
             row = []
             for c, v in zip(cols, nums):
@@ -138,6 +154,9 @@ def ideal_block(gs, relation_groups, n: int, w, lower, monos):
 
 class DGA:
     def __init__(self, gs: GeneratorSet, *, relations=None):
+        """A free DGA, or with ``relations``, a list of integer images
+        ``(den, {monomial: int})`` each homogeneous in degree and weight,
+        the quotient by the ideal they generate."""
         self.gs = gs
         self.relations = None if relations is None else list(relations)
         # generator index -> d as (den, {monomial: int})
@@ -152,17 +171,20 @@ class DGA:
         self.relation_groups: dict = {}
         # degree -> {weight: (free monomials, RREF rows of the ideal)}
         self._ideal_rows: dict = {}
-        for pos, r in enumerate(self.relations or ()):
-            try:
-                deg, wt = r.degree(), r.weight()
-            except ValueError as exc:
-                raise ValidationFailure(f"relation {pos}: {exc}") from None
-            if deg is None:
+        for pos, (_, terms) in enumerate(self.relations or ()):
+            if not terms:
                 continue
-            # integer multiple of r: scaling a row leaves the RREF alone
-            _, terms = ela._cleared(r.terms)
-            self.relation_groups.setdefault(deg, {}).setdefault(wt, []).append(
-                list(terms.items()))
+            degs = {gs.degree(m) for m in terms}
+            if len(degs) > 1:
+                raise ValidationFailure(
+                    f"relation {pos}: inhomogeneous element: degrees {sorted(degs)}")
+            wts = {gs.weight(m) for m in terms}
+            if len(wts) > 1:
+                raise ValidationFailure(
+                    f"relation {pos}: element is not weight-homogeneous")
+            # den·r: scaling a row leaves the RREF alone
+            self.relation_groups.setdefault(degs.pop(), {}).setdefault(
+                wts.pop(), []).append(list(terms.items()))
 
     # -- construction ------------------------------------------------------
 
@@ -246,9 +268,24 @@ class DGA:
         return out
 
     def check_d_squared(self):
-        """Generators v with d(d(v)) != 0."""
-        return [g.name for g in self.gs.gens
-                if not self.apply_d(self.d_monomial(self.gs.monomial_of(g))).is_zero()]
+        """Generators v with d(d(v)) != 0.
+
+        With d(v) = (1/den)·Σ c_m·m and d(m) = t_m/den_m in integers,
+        L·den·d(d(v)) = Σ c_m·(L/den_m)·t_m for L the lcm of the den_m,
+        an integer sum that is zero iff d(d(v)) is.
+        """
+        out = []
+        for g in self.gs.gens:
+            images = [(c, self._d_int(m)) for m, c in self._d_gen[g.index][1].items()]
+            L = lcm(*(den for _, (den, _) in images))
+            acc: dict = {}
+            for c, (den, terms) in images:
+                s = c * (L // den)
+                for mm, v in terms.items():
+                    acc[mm] = acc.get(mm, 0) + s * v
+            if any(acc.values()):
+                out.append(g.name)
+        return out
 
     # -- bases ---------------------------------------------------------------
 

@@ -134,7 +134,7 @@ def _echelon_rows(int_rows):
     while by_lead:
         col = min(by_lead)
         bucket = by_lead.pop(col)
-        bucket.sort(key=lambda r: (r[0], r[1]))
+        bucket.sort()  # by length, then seq, which is unique
         _, _, pc, pn = bucket[0]
         a0 = pn[0]
         for _, _, tc, tn in bucket[1:]:

@@ -168,7 +168,8 @@ class GeneratorSet:
             for o, e in b.even:
                 acc[o] = acc.get(o, 0) + e
             ev = tuple(sorted(acc.items()))
-        return sign, Monomial(ev, a.odd | b.odd)
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        return sign, tuple.__new__(Monomial, (ev, a.odd | b.odd))
 
     # -- bases -----------------------------------------------------------
 

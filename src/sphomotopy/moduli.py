@@ -4,8 +4,9 @@ The ring for genus g is presented as the free graded-commutative algebra
 on one degree-2 class, 2g degree-3 classes and one degree-4 class, modulo
 an explicit relation subspace E. The invariant subring is a complete
 intersection on three even classes cut out by a triple of recursively
-defined polynomials. Everything is computed in exact rational arithmetic
-and every dimension count is cross-checked against an independent closed
+defined polynomials. Everything is exact: the relations of both rings are
+integer images ``(den, {monomial: int})``, the form ``DGA`` takes, and
+every dimension count is cross-checked against an independent closed
 form before being trusted.
 
 The full ring is built and checked once, in ``_full_ring``, for the model
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
-from math import comb
+from itertools import combinations, repeat
+from math import comb, gcd, lcm
 
 from . import exact_linalg as ela
 from .dga import DGA, ideal_block
 from .errors import ValidationFailure
-from .free_gca import Element, GeneratorSet, Monomial, _bits
+from .free_gca import ONE, Element, GeneratorSet, Monomial, _bits
 from .sp_characters import _dominant_orbit_rep
 
 
@@ -109,52 +110,99 @@ def gamma_expansion(gs: GeneratorSet, g: int) -> Element:
     return (-2) * symplectic_form_element(gs, g)
 
 
-def expand_invariant(poly: Element, gs_full: GeneratorSet, g: int) -> Element:
-    """Substitute α -> α, β -> β, γ -> -2 Σ γ_i γ_{i+g} into an invariant
-    polynomial, landing in the full generator set."""
-    alpha, beta = gs_full.gen("α"), gs_full.gen("β")
-    gam = gamma_expansion(gs_full, g)
-    src = poly.gs
-    out = gs_full.zero()
-    for m, c in poly.terms.items():
-        exps = dict(m.even)
-        a = exps.get(src["α"].ordinal, 0)
-        b = exps.get(src["β"].ordinal, 0)
-        cc = exps.get(src["γ"].ordinal, 0)
-        term = gs_full.unit(c)
-        term = term * alpha ** a * beta ** b * gam ** cc
-        out = out + term
+def expand_invariant(polys, gs_full: GeneratorSet, g: int) -> list:
+    """Substitute α -> α, β -> β, γ -> -2ω (ω = Σ γ_i γ_{i+g}) into each
+    invariant polynomial of ``polys``, landing in the full generator set,
+    as integer images ``(den, {monomial: int})``.
+
+    Each polynomial is cleared once; the powers of ω are built once, in
+    integers, and shared. α^a·β^b·γ^c goes to (-2)^c·α^a·β^b·ω^c, and
+    distinct (a, b, c) of one degree give disjoint monomials, so the
+    terms are placed without summing.
+    """
+    a_o, b_o = gs_full["α"].ordinal, gs_full["β"].ordinal
+    omega = ela._cleared(symplectic_form_element(gs_full, g).terms)
+    powers = [(1, {ONE: 1})]  # ω^0, ω^1, ...
+    out = []
+    for poly in polys:
+        src = poly.gs
+        pa, pb, pc = src["α"].ordinal, src["β"].ordinal, src["γ"].ordinal
+        den, ints = ela._cleared(poly.terms)
+        terms = {}
+        for m, c in ints.items():
+            exps = dict(m.even)
+            cc = exps.get(pc, 0)
+            while len(powers) <= cc:
+                powers.append(_product(gs_full, powers[-1], omega))
+            even = tuple(sorted((o, e) for o, e in ((a_o, exps.get(pa, 0)),
+                                                    (b_o, exps.get(pb, 0))) if e))
+            scale = c * (-2) ** cc
+            for om, v in powers[cc][1].items():
+                terms[Monomial(even, om.odd)] = scale * v
+        out.append((den, terms))
     return out
+
+
+def _product(gs: GeneratorSet, a, b):
+    """The product of two integer images ``(den, {monomial: int})``."""
+    mul = gs.mul_monomials
+    out: dict = {}
+    for ma, ca in a[1].items():
+        for mb, cb in b[1].items():
+            sign, m = mul(ma, mb)
+            if sign:
+                v = out.get(m, 0) + sign * ca * cb
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return a[0] * b[0], out
 
 
 # -- primitive parts of the exterior algebra ----------------------------------
 
 
-def primitive_basis(g: int, k: int):
-    """Canonical kernel basis of multiplication by ω^{g-k+1} on the
-    k-fold products of the odd classes. Dimension C(2g,k) - C(2g,k-2)."""
+def primitive_basis(g: int, k: int) -> list:
+    """Canonical kernel basis of the contraction Λ: Λ^k -> Λ^{k-2} on the
+    k-fold products of the odd classes, as integer images
+    ``(den, {monomial: int})``, each vector divided by its entry at its
+    largest index. Dimension C(2g,k) - C(2g,k-2).
+
+    Λ(γ_I) = Σ_i ε_i γ_{I∖{i,i+g}} over the i with γ_i, γ_{i+g} in I,
+    ε_i the sign of γ_iγ_{i+g}·γ_{I∖{i,i+g}}: the adjoint of L = ω·(-)
+    in the monomial basis. On Λ^k, k <= g, ker Λ = ker L^{g-k+1}, the
+    primitive part (Lefschetz), and the canonical kernel basis depends
+    only on the kernel and the column order.
+    """
     if not 0 <= k <= g:
         raise ValueError("need 0 <= k <= g")
-    gs = full_generators(g)
     if k == 0:
-        return [gs.unit()]
+        return [(1, {ONE: 1})]
+    gs = full_generators(g)
     src = _odd_products(gs, k)
-    power = g - k + 1
-    omega_pow = symplectic_form_element(gs, g) ** power
-    dst = _odd_products(gs, k + 2 * power)
-    index = {m: i for i, m in enumerate(dst)}
+    # per i: the mask of γ_iγ_{i+g}, and of the ordinals strictly between
+    pairs = [((1 << i) | (1 << (i + g)), (1 << (i + g)) - (1 << (i + 1)))
+             for i in range(g)]
+    index: dict = {}  # odd mask of Λ^{k-2} -> row
     columns = []
     for m in src:
-        prod = omega_pow * Element(gs, {m: Fraction(1)})
-        # ω has integer coefficients, and so has ω^{g-k+1}·m
-        columns.append({index[mm]: c.numerator for mm, c in prod.terms.items()})
-    vecs = ela.kernel_basis(columns, len(dst))
+        col = {}
+        for pair, between in pairs:
+            if m.odd & pair == pair:
+                rest = m.odd ^ pair
+                col[index.setdefault(rest, len(index))] = \
+                    -1 if (rest & between).bit_count() & 1 else 1
+        columns.append(col)
+    vecs = ela.kernel_basis(columns, len(index))
     expected = primitive_dimension(g, k)
     if len(vecs) != expected:
         raise ValidationFailure(
             f"primitive part ({g},{k}) has dimension {len(vecs)} != {expected}")
-    return [Element(gs, {src[i]: Fraction(v, den) for i, v in vec.items()})
-            for vec in vecs for den in (vec[max(vec)],)]
+    out = []
+    for vec in vecs:
+        c = gcd(*vec.values())
+        out.append((vec[max(vec)] // c, {src[i]: v // c for i, v in vec.items()}))
+    return out
 
 
 def _odd_products(gs: GeneratorSet, k: int) -> list:
@@ -173,8 +221,9 @@ def primitive_dimension(g: int, k: int) -> int:
 # -- the relation subspace ----------------------------------------------------
 
 
-def relation_subspace_E(g: int):
-    """Basis of the subspace generating the full relation ideal.
+def relation_subspace_E(g: int) -> list:
+    """Basis of the subspace generating the full relation ideal, as
+    integer images ``(den, {monomial: int})`` over ``full_generators(g)``.
 
     Ordered blocks: the genus-g relation of degree 2g, the one of degree
     2g+2, then the genus-(g-k) lead relation times the k-th primitive part
@@ -184,19 +233,12 @@ def relation_subspace_E(g: int):
         raise ValueError("the full ring needs genus >= 2")
     gs = full_generators(g)
     qg = q_polynomials(g)
-    out = [expand_invariant(qg.q1, gs, g), expand_invariant(qg.q2, gs, g)]
-    for k in range(1, g):
-        lead = expand_invariant(q_polynomials(g - k).q1, gs, g)
-        for p in primitive_basis(g, k):
-            out.append(lead * _transplant(p, gs))
-    for p in primitive_basis(g, g):
-        out.append(_transplant(p, gs))
-    return out
-
-
-def _transplant(x: Element, gs: GeneratorSet) -> Element:
-    # primitive_basis builds its own generator set with identical layout
-    return Element(gs, dict(x.terms))
+    first, second, *leads = expand_invariant(
+        [qg.q1, qg.q2] + [q_polynomials(g - k).q1 for k in range(1, g)], gs, g)
+    out = [first, second]
+    for k, lead in enumerate(leads, 1):
+        out += [_product(gs, lead, p) for p in primitive_basis(g, k)]
+    return out + primitive_basis(g, g)
 
 
 # -- Weyl symmetry of the relation ideal -----------------------------------------
@@ -204,30 +246,30 @@ def _transplant(x: Element, gs: GeneratorSet) -> Element:
 
 def _permute_odd(perm: list, mask: int):
     """``(sign, mask)`` of the image of the odd product on ``mask``: the
-    images' signs times the sign of sorting the images into place."""
+    images' signs times the sign of sorting the images into place, whose
+    inversions are counted as each image is placed."""
     sign = 1
-    images = []
+    placed = 0
     for o in _bits(mask):
         o, s = perm[o]
+        if (placed >> o).bit_count() & 1:  # the images placed above o
+            s = -s
         sign *= s
-        images.append(o)
-    for i, a in enumerate(images):
-        for b in images[i + 1:]:
-            if a > b:
-                sign = -sign
-    return sign, sum(1 << o for o in images)
+        placed |= 1 << o
+    return sign, placed
 
 
 def _move_terms(perm: list, terms, moved: dict) -> list:
     """φ on terms: ``[(φ(m), ±c)]`` for the ``(monomial, c)`` pairs
     ``terms``, φ the signed permutation ``perm`` of the odd classes;
     ``moved`` memoizes ``_permute_odd`` by odd mask."""
+    new = tuple.__new__  # a Monomial without the namedtuple's own __new__
     out = []
     for m, c in terms:
         hit = moved.get(m.odd)
         if hit is None:
             hit = moved[m.odd] = _permute_odd(perm, m.odd)
-        out.append((Monomial(m.even, hit[1]), hit[0] * c))
+        out.append((new(Monomial, (m.even, hit[1])), hit[0] * c))
     return out
 
 
@@ -260,6 +302,20 @@ def _signed_permutation(u) -> list:
     return perm
 
 
+def _simple_reflections(g: int) -> list:
+    """``[(perm, act)]`` for s_1..s_g: the signed permutation of the odd
+    classes (see ``_signed_permutation``) and its action on weights. s_i
+    (i < g) swaps entries i and i+1, and s_g negates the last entry."""
+    rho = list(range(g, 0, -1))
+    out = []
+    for i in range(g - 1):
+        u = rho[:i] + [rho[i + 1], rho[i]] + rho[i + 2:]
+        out.append((_signed_permutation(u),
+                    lambda w, i=i: w[:i] + (w[i + 1], w[i]) + w[i + 2:]))
+    out.append((_signed_permutation(rho[:-1] + [-1]), lambda w: w[:-1] + (-w[-1],)))
+    return out
+
+
 def _certify_weyl_stable(ring: DGA, g: int):
     """Raise unless each simple reflection (see ``_signed_permutation``)
     maps the span of the relations into itself.
@@ -267,37 +323,56 @@ def _certify_weyl_stable(ring: DGA, g: int):
     The span is graded by (degree, weight), and a reflection s maps the
     (d, w) part into the (d, s·w) part. So for each degree d the images of
     the degree-d relations under every s are collected by the weight they
-    land in, and each destination part must keep its rank when they are
-    added: the span is unchanged iff every image lies in it. Each s
-    induces a degree-preserving algebra automorphism φ_s of the free
-    algebra, so φ_s(E) ⊆ span E ⊆ I gives φ_s(I^n) ⊆ I^n and, I^n being
-    finite-dimensional, φ_s(I^n) = I^n.
+    land in, and each must lie in the span of the destination part: its
+    RREF is taken once, and every image must reduce to 0 against it
+    (``_in_span``). Each s induces a degree-preserving algebra
+    automorphism φ_s of the free algebra, so φ_s(E) ⊆ span E ⊆ I gives
+    φ_s(I^n) ⊆ I^n and, I^n being finite-dimensional, φ_s(I^n) = I^n.
     """
-    gs = ring.gs
-    rho = list(range(g, 0, -1))
-    reflected = [rho[:i] + [rho[i + 1], rho[i]] + rho[i + 2:] for i in range(g - 1)]
     # each with its memo: odd mask -> (sign, mask) under s
-    reflections = [(_signed_permutation(u), {}) for u in reflected + [rho[:-1] + [-1]]]
+    reflections = [(perm, act, {}) for perm, act in _simple_reflections(g)]
     for d, parts in ring.relation_groups.items():
         images: dict = {}  # weight -> images of the degree-d relations there
-        for perm, moved in reflections:
-            for terms in chain.from_iterable(parts.values()):
-                image = _move_terms(perm, terms, moved)
-                images.setdefault(gs.weight(image[0][0]), []).append(image)
+        for perm, act, moved in reflections:
+            for w, rels in parts.items():
+                images.setdefault(act(w), []).extend(
+                    _move_terms(perm, terms, moved) for terms in rels)
         for w, vecs in images.items():
-            target = parts.get(w, [])
-            if _span_rank(target + vecs) != _span_rank(target):
+            if not _in_span(parts.get(w, ()), vecs):
                 raise ValidationFailure(
                     f"Weyl certificate failed: a simple reflection maps a relation "
                     f"of degree {d} to weight {w}, out of the span of the relations")
 
 
-def _span_rank(vecs: list) -> int:
-    """Rank of the span of vectors given as ``(monomial, int)`` pairs."""
+def _in_span(target, vecs) -> bool:
+    """Whether every one of ``vecs`` lies in the span of ``target``, all
+    given as ``(monomial, int)`` pairs.
+
+    The target is row-reduced once. Its RREF rows ρ_p, scaled to the
+    entry L at their pivot p (L the lcm of the pivot entries), are zero
+    at the other pivots, so v is in the span iff L·v = Σ_p v[p]·ρ_p, and
+    a v with a monomial outside the target's support is not.
+    """
     index: dict = {}
-    rows = [ela._row((index.setdefault(m, len(index)), c) for m, c in v)
-            for v in vecs]
-    return len(ela._echelon_rows(rows)[0])
+    pivot_cols, rref = ela._echelon_rows(
+        [ela._row((index.setdefault(m, len(index)), c) for m, c in t) for t in target])
+    L = lcm(*(row[p] for p, row in zip(pivot_cols, rref)))
+    scaled = {p: [(j, v * (L // row[p])) for j, v in row.items()]
+              for p, row in zip(pivot_cols, rref)}
+    for vec in vecs:
+        coords = {}
+        for m, c in vec:
+            j = index.get(m)
+            if j is None:
+                return False
+            coords[j] = c
+        acc = {j: L * c for j, c in coords.items()}
+        for p, c in coords.items():
+            for j, r in scaled.get(p, ()):
+                acc[j] = acc.get(j, 0) - c * r
+        if any(acc.values()):
+            return False
+    return True
 
 
 # -- invariant subring ---------------------------------------------------------
@@ -331,7 +406,7 @@ def invariant_ring(g: int, check_up_to: int | None = None) -> DGA:
         raise ValueError("genus must be >= 1")
     gs = invariant_generators(g)
     q = q_polynomials(g, gs)
-    ring = DGA(gs, relations=[q.q1, q.q2, q.q3])
+    ring = DGA(gs, relations=[ela._cleared(p.terms) for p in (q.q1, q.q2, q.q3)])
     hi = check_up_to if check_up_to is not None else 6 * g - 6 + 2
     expected = hilbert_complete_intersection(g, hi)
     for n in range(hi + 1):
@@ -422,20 +497,31 @@ def _dominant_blocks(ring: DGA, g: int) -> dict:
     empty (see ``_full_ring``): the block's free monomials, built from
     their shape (``_free_block``), and ``dga.ideal_block`` of I^n_{μ_j},
     which reads I^k_u as the dominant block (k, rep(u)), built already,
-    moved by φ_u.
+    moved by φ_u. Each (k, u) is moved once, with one φ_u and one memo of
+    its odd masks per u.
     """
     gs = ring.gs
     blocks: dict = {}
     evens: dict = {}  # shared by the blocks, see _free_block
+    moved: dict = {}  # k -> {u: what lower(k, u) returns}
+    phis: dict = {}  # u -> (φ_u, its memo: odd mask -> (sign, mask))
+    reach = max(x.degree for x in gs.gens)  # degree n reads k >= n - reach
 
     def lower(k, u):
-        low = blocks.get((k, _dominant_orbit_rep(u)))
-        if low is None or not low[2]:
-            return None
-        return _move_terms(_signed_permutation(u), zip(low[0], repeat(1)),
-                           {}), low[2]
+        at = moved.setdefault(k, {})
+        if u not in at:
+            low = blocks.get((k, _dominant_orbit_rep(u)))
+            if low is None or not low[2]:
+                at[u] = None
+            else:
+                if u not in phis:
+                    phis[u] = (_signed_permutation(u), {})
+                perm, memo = phis[u]
+                at[u] = _move_terms(perm, zip(low[0], repeat(1)), memo), low[2]
+        return at[u]
 
     for n in range(6 * g - 2):
+        moved.pop(n - reach - 1, None)
         for j in range(g + 1):
             w = (1,) * j + (0,) * (g - j)
             monos = _free_block(g, n, j, evens)
@@ -456,6 +542,7 @@ def _free_block(g: int, n: int, j: int, evens: dict) -> list:
     and 1, γ_i odd ordinal i-1.) ``evens`` memoizes the α^a·β^b of each
     leftover degree, so the blocks share them.
     """
+    new = tuple.__new__  # a Monomial without the namedtuple's own __new__
     out = []
     for k in range(g - j + 1):
         left = n - 3 * j - 6 * k
@@ -468,7 +555,7 @@ def _free_block(g: int, n: int, j: int, evens: dict) -> list:
                 for b in range(left // 4 + 1)]
         for pairs in combinations(range(j, g), k):
             odd = (1 << j) - 1 + sum((1 << i) | (1 << (i + g)) for i in pairs)
-            out += [Monomial(e, odd) for e in ev]
+            out += [new(Monomial, (e, odd)) for e in ev]
     return sorted(out)
 
 

@@ -130,6 +130,11 @@ class MinimalModel:
         self.stages: list[MinimalModelStage] = []
         # generator index -> its target monomial; absent when ρ(g) = 0
         self.rho: dict[int, Monomial] = {}
+        # the generators with ρ(g) != 0: a mask of odd ordinals and a set
+        # of even ordinals, so a monomial with any other factor maps to 0
+        # before any product
+        self._rho_odd = 0
+        self._rho_even: set = set()
         # (n, {weight: complement positions in A^n_w}) for the next stage;
         # H^2 of the empty model is 0
         self._complements: tuple = (2, {})
@@ -143,21 +148,18 @@ class MinimalModel:
 
         Reducing once at the end is reducing after every factor, since
         ``reduce`` is the projection whose kernel is the ideal. A factor
-        that maps to 0, or an odd square in the product, gives 0. Nothing
-        is cached: the model loop reads each monomial's image once.
+        that maps to 0, found by the masks of the generators that do not,
+        or an odd square in the product, gives 0. Nothing is cached: the
+        model loop reads each monomial's image once.
         """
         gs, rho, A = self.dga.gs, self.rho, self.target
+        if m.odd & ~self._rho_odd or not self._rho_even.issuperset(
+                [o for o, _ in m.even]):
+            return A.gs.zero()
         monos = []
         for o, e in m.even:
-            mono = rho.get(gs.even[o].index)
-            if mono is None:
-                return A.gs.zero()
-            monos += [mono] * e
-        for o in _bits(m.odd):
-            mono = rho.get(gs.odd[o].index)
-            if mono is None:
-                return A.gs.zero()
-            monos.append(mono)
+            monos += [rho[gs.even[o].index]] * e
+        monos += [rho[gs.odd[o].index] for o in _bits(m.odd)]
         mul = A.gs.mul_monomials
         sign, prod = 1, ONE
         for mono in monos:
@@ -207,6 +209,10 @@ class MinimalModel:
         g = self.dga.add_generator(name, degree, weight, d_image)
         if rho_mono is not None:
             self.rho[g.index] = rho_mono
+            if g.is_odd:
+                self._rho_odd |= 1 << g.ordinal
+            else:
+                self._rho_even.add(g.ordinal)
         stage_gens.append(StageGenerator(name, degree, g.weight, part, d_image,
                                          rho_mono, self.dga.gs, self.target.gs))
 

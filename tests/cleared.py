@@ -32,6 +32,12 @@ def cleared_matrix(columns):
     return [_scaled(col, den) for col in columns]
 
 
+def integer_image(x):
+    """The integer image ``(den, {monomial: int})`` of an ``Element``, the
+    form ``DGA.add_generator`` and ``DGA(gs, relations=...)`` take."""
+    return ela._cleared(x.terms)
+
+
 def echelon(rows):
     """``_echelon_rows`` of sparse rational rows."""
     return ela._echelon_rows([ela._row(r.items()) for r in cleared_rows(rows)])

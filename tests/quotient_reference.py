@@ -3,6 +3,8 @@ one (degree, weight) block at a time."""
 
 from fractions import Fraction
 
+from sphomotopy.dga import as_element
+
 from cleared import echelon
 
 
@@ -17,7 +19,8 @@ def whole_degree_quotient(ring, n):
     monos = gs.basis(n)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
-    for r in ring.relations:
+    for image in ring.relations:
+        r = as_element(gs, image)
         dr = r.degree()
         if dr is None or dr > n:
             continue

@@ -1,6 +1,9 @@
-"""Reference for the relation subspace: the primitive parts read off by
-filtering whole free-algebra bases, which ``moduli`` replaced by a direct
-enumeration of the odd products."""
+"""Reference for the relation subspace, in ``Element`` arithmetic: the
+primitive parts as the kernel of ω^{g-k+1}·(-) on the k-fold odd products,
+read off by filtering whole free-algebra bases, and the invariant
+polynomials expanded by ``Element`` products. ``moduli`` takes the kernel
+of the contraction on the odd products, enumerated directly, and builds
+the relations in integers."""
 
 from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli
@@ -30,15 +33,28 @@ def primitive_basis(g, k):
             for vec in vecs]
 
 
+def expand_invariant(poly, gs_full, g):
+    """α -> α, β -> β, γ -> -2 Σ γ_i γ_{i+g} in an invariant polynomial."""
+    alpha, beta = gs_full.gen("α"), gs_full.gen("β")
+    gam = moduli.gamma_expansion(gs_full, g)
+    src = poly.gs
+    out = gs_full.zero()
+    for m, c in poly.terms.items():
+        exps = dict(m.even)
+        out = out + gs_full.unit(c) * alpha ** exps.get(src["α"].ordinal, 0) \
+            * beta ** exps.get(src["β"].ordinal, 0) \
+            * gam ** exps.get(src["γ"].ordinal, 0)
+    return out
+
+
 def relation_subspace_E(g):
     """The relation subspace in the order ``moduli.relation_subspace_E``
     documents, from the reference primitive parts."""
     gs = moduli.full_generators(g)
     qg = moduli.q_polynomials(g)
-    out = [moduli.expand_invariant(qg.q1, gs, g),
-           moduli.expand_invariant(qg.q2, gs, g)]
+    out = [expand_invariant(qg.q1, gs, g), expand_invariant(qg.q2, gs, g)]
     for k in range(1, g):
-        lead = moduli.expand_invariant(moduli.q_polynomials(g - k).q1, gs, g)
+        lead = expand_invariant(moduli.q_polynomials(g - k).q1, gs, g)
         out.extend(lead * Element(gs, dict(p.terms)) for p in primitive_basis(g, k))
     out.extend(Element(gs, dict(p.terms)) for p in primitive_basis(g, g))
     return out

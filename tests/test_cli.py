@@ -428,6 +428,8 @@ COMMAND_BYTES = {
                           "39ffe174a768c4161dd7ec97b2338e924f1717989058e0ab96c3e7af0e9dee66"),
     "relations-g3": ("relations --genus 3",
                      "8a49cafe212404a5cf43b1878f0bdc23b35c1f02f1f33377b0d6528deaba89ae"),
+    "relations-g5": ("relations --genus 5 --format json",
+                     "a3be4617a746586abcf3161ef40d14fa30d4d4a73578cc3d8529e99d68566b14"),
     "verify-low-degrees": ("verify --suite low-degrees",
                            "07cbae686f9d731e341caddd6b202796a7714a3c257eaff05b6eef090edf79d8"),
     "verify-leading": ("verify --suite leading",

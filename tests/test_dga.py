@@ -10,14 +10,8 @@ from sphomotopy.dga import DGA
 from sphomotopy.errors import InternalInconsistency, ValidationFailure
 from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 
-from cleared import canonical
+from cleared import canonical, integer_image
 from quotient_reference import whole_degree_quotient
-
-
-def integer_image(x: Element):
-    """The integer image ``(den, {monomial: int})`` that ``add_generator``
-    takes."""
-    return ela._cleared(x.terms)
 
 
 @pytest.fixture
@@ -203,7 +197,7 @@ def test_quotient_reduce_multiply():
     gs = GeneratorSet(0)
     gs.add("h", 2)
     h = gs.gen("h")
-    ring = DGA(gs, relations=[h * h])
+    ring = DGA(gs, relations=[integer_image(h * h)])
     assert ring.reduce(h * h).is_zero()
     # reduce is a projection onto the transversal, with the ideal as kernel
     assert ring.reduce(ring.reduce(h) * h).is_zero()
@@ -216,7 +210,7 @@ def test_quotient_reduce_across_degrees():
     gs.add("h", 2)
     gs.add("k", 4)
     h, k = gs.gen("h"), gs.gen("k")
-    ring = DGA(gs, relations=[h * h - k])
+    ring = DGA(gs, relations=[integer_image(h * h - k)])
     # the pivots are h² in degree 4 and h·k in degree 6, so h² becomes k
     # and h·k becomes h³; the second call reuses the cached index
     x = h + h * h + h * k
@@ -229,7 +223,8 @@ def test_mixed_weight_relation_rejected():
     gs = moduli.full_generators(2)
     mixed = gs.gen("γ1") + gs.gen("γ2")  # degree 3, weights L1 and L2
     with pytest.raises(ValidationFailure, match="^relation 1: "):
-        DGA(gs, relations=[gs.gen("α") * gs.gen("α"), mixed])
+        DGA(gs, relations=[integer_image(gs.gen("α") * gs.gen("α")),
+                           integer_image(mixed)])
 
 
 def test_coboundary_coordinates_read_off_free_columns():

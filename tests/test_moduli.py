@@ -5,12 +5,13 @@ from math import comb
 import pytest
 
 from sphomotopy import moduli, sullivan
-from sphomotopy.dga import DGA
+from sphomotopy.dga import DGA, as_element
 from sphomotopy.errors import ValidationFailure
 from sphomotopy.free_gca import Element, GeneratorSet, Monomial
 from sphomotopy.sp_characters import _dominant_orbit_rep, weyl_orbit
 
 import relation_reference
+from cleared import integer_image
 from quotient_reference import whole_degree_quotient
 
 
@@ -57,17 +58,16 @@ def test_primitive_dimensions():
 
 def test_primitive_basis_killed_by_form_power():
     g, k = 2, 2
-    basis = moduli.primitive_basis(g, k)
-    gs = basis[0].gs
+    gs = moduli.full_generators(g)
     omega = moduli.symplectic_form_element(gs, g)
-    for p in basis:
-        assert (omega * p).is_zero()
+    for p in moduli.primitive_basis(g, k):
+        assert (omega * as_element(gs, p)).is_zero()
 
 
 def test_relation_subspace_size_and_expansion():
-    E = moduli.relation_subspace_E(2)
+    gs = moduli.full_generators(2)
+    E = [as_element(gs, e) for e in moduli.relation_subspace_E(2)]
     assert len(E) == 11  # 1 + 1 + 4 + 5
-    gs = E[0].gs
     a, b = gs.gen("α"), gs.gen("β")
     g1, g2, g3, g4 = (gs.gen(f"γ{i}") for i in range(1, 5))
     assert E[0] == a * a + b
@@ -75,22 +75,42 @@ def test_relation_subspace_size_and_expansion():
     assert min(e.degree() for e in E) == 4  # lowest relation degree is 2g
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_relation_subspace_matches_filtered_enumeration(g):
-    """The odd products enumerated directly give the same primitive
-    parts, in the same order, as filtering whole free-algebra bases."""
+    """The kernel of the contraction on the odd products enumerated
+    directly gives the same primitive parts, in the same order, as the
+    kernel of ω^{g-k+1} on filtered whole free-algebra bases, and the
+    integer relations are the reference's ``Element`` products."""
+    gs = moduli.full_generators(g)
     for k in range(g + 1):
-        assert moduli.primitive_basis(g, k) == \
+        assert [as_element(gs, p) for p in moduli.primitive_basis(g, k)] == \
             relation_reference.primitive_basis(g, k), k
-    got, ref = moduli.relation_subspace_E(g), relation_reference.relation_subspace_E(g)
+    got = [as_element(gs, e) for e in moduli.relation_subspace_E(g)]
+    ref = relation_reference.relation_subspace_E(g)
     assert got == ref
     assert [e.render() for e in got] == [e.render() for e in ref]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_relations_are_weight_homogeneous(g):
+    gs = moduli.full_generators(g)
     for e in moduli.relation_subspace_E(g):
-        assert e.weight() is not None
+        assert as_element(gs, e).weight() is not None
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_simple_reflections_act_on_weights_as_on_relations(g):
+    """The certificate reads the weight a relation part lands in off the
+    part's weight: s_i swaps entries i and i+1, s_g negates the last.
+    That is the weight of every moved relation."""
+    ring = DGA(moduli.full_generators(g), relations=moduli.relation_subspace_E(g))
+    gs = ring.gs
+    for perm, act in moduli._simple_reflections(g):
+        for parts in ring.relation_groups.values():
+            for w, rels in parts.items():
+                for terms in rels:
+                    for m, _ in moduli._move_terms(perm, terms, {}):
+                        assert gs.weight(m) == act(w), (g, w, m)
 
 
 def _assert_blocked_matches_whole_degree(ring, last):
@@ -278,9 +298,9 @@ def test_weyl_certificate_rejects_a_flip_into_an_empty_part(monkeypatch, build):
     full = moduli.relation_subspace_E
 
     def with_extra(g):
-        rels = full(g)
-        gs = rels[0].gs
-        return rels + [gs.gen("α") * gs.gen("γ1") * gs.gen("γ2") * gs.gen("γ3")]
+        gs = moduli.full_generators(g)
+        return full(g) + [integer_image(
+            gs.gen("α") * gs.gen("γ1") * gs.gen("γ2") * gs.gen("γ3"))]
 
     monkeypatch.setattr(moduli, "relation_subspace_E", with_extra)
     with pytest.raises(ValidationFailure, match="^Weyl certificate failed"):
@@ -319,7 +339,7 @@ def test_model_reads_only_the_degrees_it_needs():
 def test_relations_die_in_quotient():
     ring = moduli.build_cohomology_algebra(2)
     for e in moduli.relation_subspace_E(2):
-        assert ring.reduce(Element(ring.gs, dict(e.terms))).is_zero()
+        assert ring.reduce(as_element(ring.gs, e)).is_zero()
 
 
 def test_genus2_ring_identities():
@@ -345,9 +365,7 @@ def test_relation_subspace_is_minimal(g):
     reference = moduli.betti_numbers(g)
     for drop in range(len(E)):
         gs = moduli.full_generators(g)
-        relations = [Element(gs, dict(e.terms))
-                     for i, e in enumerate(E) if i != drop]
-        ring = DGA(gs, relations=relations)
+        ring = DGA(gs, relations=[e for i, e in enumerate(E) if i != drop])
         dims = [ring.dim(n) for n in range(top + 1)]
         assert any(dims[n] > reference[n] for n in range(top + 1)), \
             f"dropping E[{drop}] changed nothing"
