@@ -7,7 +7,7 @@ import pytest
 from sphomotopy import moduli, sullivan
 from sphomotopy.dga import DGA, as_element
 from sphomotopy.errors import ValidationFailure
-from sphomotopy.free_gca import Element, GeneratorSet, Monomial
+from sphomotopy.free_gca import GeneratorSet, Monomial
 from sphomotopy.sp_characters import _dominant_orbit_rep, weyl_orbit
 
 import relation_reference
