@@ -48,13 +48,8 @@ def cmd_relations(args) -> int:
         # the primitive parts enumerate through degree 3(2g+1); refuse
         # before the relation recursion, which is itself costly at large g
         moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
-    q = moduli.q_polynomials(g)
     degrees = [2 * g, 2 * g + 2, 2 * g + 4]
-    payload = {
-        "genus": g,
-        "degrees": degrees,
-        "q": [q.q1.render(), q.q2.render(), q.q3.render()],
-    }
+    payload = {"genus": g, "degrees": degrees, "q": _render_triple(g)}
     if g >= 2:
         gs = moduli.full_generators(g)
         payload["E"] = [render_terms(gs, terms, den)
@@ -70,6 +65,11 @@ def cmd_relations(args) -> int:
             for e in payload["E"]:
                 print(f"  {e}")
     return 0
+
+
+def _render_triple(g: int) -> list:
+    gs = moduli.invariant_generators(g)
+    return [render_terms(gs, terms, den) for den, terms in moduli.q_polynomials(g)]
 
 
 def _build_model(args) -> sullivan.MinimalModel:
@@ -192,14 +192,9 @@ def _suite_invariant_model(args):
     if max_degree is None:
         max_degree = 13 if g == 2 else 2 * (2 * g + 3)
     model = sullivan.invariant_model(g, max_degree, args.budget)
-    q = moduli.q_polynomials(g)
-    expected = {
-        2: "0", 4: "0", 6: "0",
-        2 * g - 1: q.q1.render(),
-        2 * g + 1: q.q2.render(),
-        2 * g + 3: q.q3.render(),
-    }
-    degs = {gen.degree: gen.d_image.render()
+    expected = {2: "0", 4: "0", 6: "0",
+                **dict(zip((2 * g - 1, 2 * g + 1, 2 * g + 3), _render_triple(g)))}
+    degs = {gen.degree: render_terms(model.dga.gs, gen.d_int[1], gen.d_int[0])
             for s in model.stages for gen in s.generators}
     want = tables.invariant_generator_degrees(g)
     yield (f"genus {g} generator degrees", str(want), str(sorted(degs)),

@@ -12,7 +12,7 @@ Two flavours share the class:
   ``(den, {monomial: int})``, the form of the differentials, and each is
   checked to be homogeneous in degree and weight. The ring is the
   model's target as it stands: it carries its per-weight bases and the
-  reduction to the transversal.
+  reduced form of every monomial.
 
 A free DGA keeps each generator's differential as an integer image
 ``(den, {monomial: int})`` and assembles d(m) from them as the Leibniz
@@ -24,7 +24,7 @@ rows of den·d, with den the lcm of the block's denominators: RREF and
 the canonical kernel vectors do not change under row scaling, although
 they do under column scaling. The cohomology block keeps those rows for
 the model's d²=0 check. ``Element``s are built only at the API edge
-(``d_monomial``, ``apply_d``, ``as_element``).
+(``d_monomial``, ``apply_d``, ``reduce``, ``as_element``).
 
 A quotient keeps one record per degree, read off the row-reduced degree-n
 part of the ideal I the relations generate. I splits into (degree,
@@ -32,11 +32,12 @@ weight) blocks, and ``ideal_block`` row-reduces each from the relations
 in it and generator multiples of the lower blocks' integer RREF rows,
 which the ring keeps beside the record. The record holds each block's
 canonical monomial transversal (the non-pivot monomials) and, for each
-pivot monomial, its reduced form over the transversal. Reduction
-replaces each pivot monomial by its form, in one pass. It is the linear
-projection whose kernel is the ideal, so a product may be reduced once,
-after all its factors are multiplied: reduce(reduce(a)·b) = reduce(a·b).
-A degree's record is built when it is first read, after the lower ones.
+pivot monomial, its reduced form over the transversal, an integer image
+read off its RREF row. Reduction replaces each pivot monomial by its
+form, in one pass. It is the linear projection whose kernel is the
+ideal, so a product may be reduced once, after all its factors are
+multiplied: reduce(reduce(a)·b) = reduce(a·b). A degree's record is
+built when it is first read, after the lower ones.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 
 from . import exact_linalg as ela
@@ -84,13 +85,78 @@ class CohomologyBlock:
         return len(self.representative_vectors)
 
 
-_NO_D = (1, {})  # the integer differential of a cocycle; never mutated
+_ZERO = (1, {})  # the zero integer image, d of a cocycle; never mutated
 
 
 def as_element(gs, image) -> Element:
     """The ``Element`` view of an integer image ``(den, {monomial: int})``."""
     den, terms = image
     return Element(gs, {m: Fraction(c, den) for m, c in terms.items()})
+
+
+def image_sum(pairs):
+    """Σ c·image over ``pairs`` of an int c and an integer image
+    ``(den, {key: int})``, as an integer image in lowest terms: its den is
+    the lcm of the reduced values' denominators."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, (d, _) in pairs))
+    acc: dict = {}
+    for c, (d, terms) in pairs:
+        s = c * (den // d)
+        for k, v in terms.items():
+            acc[k] = acc.get(k, 0) + s * v
+    acc = {k: v for k, v in acc.items() if v}
+    g = gcd(den, *acc.values())
+    return (den, acc) if g == 1 else (den // g, {k: v // g for k, v in acc.items()})
+
+
+def element_sum(gs, x: Element, image_of) -> Element:
+    """The ``Element`` view of Σ c·image_of(m) over the terms c·m of ``x``,
+    summed in integer images."""
+    den, ints = ela._cleared(x.terms)
+    total, terms = image_sum((c, image_of(m)) for m, c in ints.items())
+    return as_element(gs, (den * total, terms))
+
+
+def _relation_blocks(gs, relations) -> list:
+    """The (degree, weight) of each relation ``(pos, terms)``, read off one
+    packed int per term; raises ``ValidationFailure`` at the first
+    relation whose terms differ in degree, else in weight.
+
+    A factor x packs to P(x) = deg x + Σ_i w_i(x)·B^i, B = 2^k. P is
+    additive, and a term's P is the sum of two memos, by even part and by
+    odd mask. Each field of a term lies within the bound of Σ over its
+    factors of max(deg x, |w_i(x)|), and B exceeds twice the bound, so
+    the fields are balanced base-B digits: two terms have the same P iff
+    they have the same degree and weight, which are the digits of P.
+    """
+    evens = {m.even for _, terms in relations for m in terms}
+    odds = {m.odd for _, terms in relations for m in terms}
+    even_size, odd_size = ([max((x.degree, *map(abs, x.weight))) for x in xs]
+                           for xs in (gs.even, gs.odd))
+    # an odd factor comes at most once
+    bound = max((sum(e * even_size[o] for o, e in ev) for ev in evens), default=0) \
+        + sum(odd_size)
+    k = (2 * bound + 1).bit_length()
+    pe, po = ([x.degree + sum(w << k * i for i, w in enumerate(x.weight, 1)) for x in xs]
+              for xs in (gs.even, gs.odd))
+    evens = {ev: sum(e * pe[o] for o, e in ev) for ev in evens}
+    odds = {od: sum(po[o] for o in _bits(od)) for od in odds}
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for pos, terms in relations:
+        keys = {evens[e] + odds[o] for e, o in terms}
+        if len(keys) > 1:
+            degs = sorted({gs.degree(m) for m in terms})
+            raise ValidationFailure(f"relation {pos}: " + (
+                f"inhomogeneous element: degrees {degs}" if len(degs) > 1
+                else "element is not weight-homogeneous"))
+        key, digits = keys.pop(), []
+        for _ in range(gs.weight_len + 1):
+            digits.append(((key + half) & mask) - half)
+            key = (key - digits[-1]) >> k
+        out.append((digits[0], tuple(digits[1:])))
+    return out
 
 
 def ideal_block(gs, relation_groups, n: int, w, lower, monos):
@@ -160,7 +226,7 @@ class DGA:
         self.gs = gs
         self.relations = None if relations is None else list(relations)
         # generator index -> d as (den, {monomial: int})
-        self._d_gen: dict[int, tuple] = {g.index: _NO_D for g in gs.gens}
+        self._d_gen: dict[int, tuple] = {g.index: _ZERO for g in gs.gens}
         # ((degree, weight), its free monomials), see add_generator
         self._guard: tuple = (None, set())
         # degree -> (by_weight, pivots), see _quotient_data
@@ -171,20 +237,12 @@ class DGA:
         self.relation_groups: dict = {}
         # degree -> {weight: (free monomials, RREF rows of the ideal)}
         self._ideal_rows: dict = {}
-        for pos, (_, terms) in enumerate(self.relations or ()):
-            if not terms:
-                continue
-            degs = {gs.degree(m) for m in terms}
-            if len(degs) > 1:
-                raise ValidationFailure(
-                    f"relation {pos}: inhomogeneous element: degrees {sorted(degs)}")
-            wts = {gs.weight(m) for m in terms}
-            if len(wts) > 1:
-                raise ValidationFailure(
-                    f"relation {pos}: element is not weight-homogeneous")
+        rels = [(pos, terms) for pos, (_, terms) in enumerate(self.relations or ())
+                if terms]
+        for (_, terms), (n, w) in zip(rels, _relation_blocks(gs, rels)):
             # den·r: scaling a row leaves the RREF alone
-            self.relation_groups.setdefault(degs.pop(), {}).setdefault(
-                wts.pop(), []).append(list(terms.items()))
+            self.relation_groups.setdefault(n, {}).setdefault(w, []).append(
+                list(terms.items()))
 
     # -- construction ------------------------------------------------------
 
@@ -241,7 +299,7 @@ class DGA:
                 parts.append((sign, image, Monomial(m.even, m.odd ^ (1 << o))))
             sign = -sign
         if not parts:
-            return _NO_D
+            return _ZERO
         den = lcm(*(image[0] for _, image, _ in parts))
         mul = gs.mul_monomials
         out = {}
@@ -255,37 +313,20 @@ class DGA:
                         out[mm] = v
                     else:
                         del out[mm]
-        return (den, out) if out else _NO_D
+        return (den, out) if out else _ZERO
 
     def d_monomial(self, m: Monomial) -> Element:
         """d(m) as an ``Element``: an uncached view of the integer form."""
         return as_element(self.gs, self._d_int(m))
 
     def apply_d(self, x: Element) -> Element:
-        out = self.gs.zero()
-        for m, c in x.terms.items():
-            out = out + self.d_monomial(m).scale(c)
-        return out
+        return element_sum(self.gs, x, self._d_int)
 
     def check_d_squared(self):
-        """Generators v with d(d(v)) != 0.
-
-        With d(v) = (1/den)·Σ c_m·m and d(m) = t_m/den_m in integers,
-        L·den·d(d(v)) = Σ c_m·(L/den_m)·t_m for L the lcm of the den_m,
-        an integer sum that is zero iff d(d(v)) is.
-        """
-        out = []
-        for g in self.gs.gens:
-            images = [(c, self._d_int(m)) for m, c in self._d_gen[g.index][1].items()]
-            L = lcm(*(den for _, (den, _) in images))
-            acc: dict = {}
-            for c, (den, terms) in images:
-                s = c * (L // den)
-                for mm, v in terms.items():
-                    acc[mm] = acc.get(mm, 0) + s * v
-            if any(acc.values()):
-                out.append(g.name)
-        return out
+        """Generators v with d(d(v)) != 0: with d(v) = (1/den)·Σ c_m·m,
+        den·d(d(v)) is the integer sum Σ c_m·d(m) of ``image_sum``."""
+        return [g.name for g in self.gs.gens if image_sum(
+            (c, self._d_int(m)) for m, c in self._d_gen[g.index][1].items())[1]]
 
     # -- bases ---------------------------------------------------------------
 
@@ -313,7 +354,9 @@ class DGA:
 
         ``by_weight`` maps each weight with a nonzero block to its sorted
         transversal monomials (the non-pivot columns); ``pivots`` maps each
-        pivot monomial to its reduced form ``{transversal monomial: Fraction}``.
+        pivot monomial to its reduced form, the integer image
+        ``(p, {transversal monomial: -v})`` of its primitive RREF row
+        p·pivot + Σ v·t. That row has gcd 1, so the form is in lowest terms.
         The ideal is block-diagonal over weights, and the RREF of a
         block-diagonal matrix is the union of its blocks' RREFs; RREF is
         unique, so eliminating block by block gives the degree-wide result.
@@ -330,8 +373,8 @@ class DGA:
             pivot_cols, rows = self._quotient_block(n, w)
             # an RREF row starts at its pivot, and is zero at the others
             for cols, nums in rows:
-                pivots[monos[cols[0]]] = {monos[c]: Fraction(-v, nums[0])
-                                          for c, v in zip(cols[1:], nums[1:])}
+                pivots[monos[cols[0]]] = (nums[0], {monos[c]: -v for c, v in
+                                                    zip(cols[1:], nums[1:])})
             if rows:
                 ideal[w] = (monos, rows)
             pivot_set = set(pivot_cols)
@@ -357,32 +400,17 @@ class DGA:
         return ideal_block(self.gs, self.relation_groups, n, w, lower,
                            self.gs.basis_by_weight(n)[w])
 
-    def reduce(self, x: Element) -> Element:
-        """Canonical form of ``x`` in the quotient (identity for free DGAs).
+    def reduced_monomial(self, m: Monomial):
+        """The reduced form of m as an integer image: m itself off the
+        pivots, else its pivot form (see ``_quotient_data``), not mutated."""
+        n = self.gs.degree(m)
+        form = (self._quot_cache.get(n) or self._quotient_data(n))[1].get(m)
+        return form or (1, {m: 1})
 
-        One pass over the terms: a pivot monomial is replaced by its
-        reduced form, which has no pivot monomial in it.
-        """
-        if not self.is_quotient() or x.is_zero():
-            return x
-        gs = self.gs
-        cache = self._quot_cache
-        out: dict = {}
-        for m, c in x.terms.items():
-            n = gs.degree(m)
-            form = (cache.get(n) or self._quotient_data(n))[1].get(m)
-            if form is None:
-                form = ((m, c),)
-            else:
-                form = [(t, c * v) for t, v in form.items()]
-            for t, v in form:
-                if t in out:
-                    v += out[t]
-                    if not v:
-                        del out[t]
-                        continue
-                out[t] = v
-        return Element(gs, out)
+    def reduce(self, x: Element) -> Element:
+        """Canonical form of ``x`` in the quotient (identity for free DGAs),
+        the ``Element`` view of the sum of its terms' reduced forms."""
+        return element_sum(self.gs, x, self.reduced_monomial) if self.is_quotient() else x
 
     # -- cohomology -----------------------------------------------------------
 

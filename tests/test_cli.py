@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -440,6 +441,12 @@ COMMAND_BYTES = {
                             "829aba8357a52c4cda4662b67c855430a8c36ab837099cdeb37bc4086f89a2ae"),
     "verify-invariant-model": ("verify --suite invariant-model",
                                "567590a669a449e72292cea18ce06756a647e6f93b9b8925a41ce4e2414da7ed"),
+    "verify-invariant-model-g5": ("verify --suite invariant-model --genus 5",
+                                  "3ac527e800f8a644d353f789863637c3eda7f566cfc5b84783793cd747c91635"),
+    "relations-g6": ("relations --genus 6",
+                     "c620c25d3712088de734aba0cf3d4e7f15d926ca78cd1c5cdd057e4c428eccf2"),
+    "relations-g4-text": ("relations --genus 4 --format text",
+                          "ad0cdf51793c7f28d69aeba58470f1a91dee1a20026285eda41b12bbc97b30a2"),
 }
 
 
@@ -459,6 +466,37 @@ def test_workload_output_bytes(monkeypatch, capsys, name):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", [
+    "minimal-model --genus 3 --max-degree 10 --format json",
+    "minimal-model --genus 3 --max-degree 10 --format text",
+    "minimal-model --genus 4 --target invariant --max-degree 20",
+    "betti --genus 4",
+    "relations --genus 4 --format json",
+    "relations --genus 4 --format text",
+    "verify --suite invariant-model --genus 5",
+])
+def test_no_run_builds_a_fraction(monkeypatch, capsys, command):
+    """From the relations to the rendered text every run computes in
+    integer images; ``Fraction`` is left to the ``Element`` views."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or coprime(cls, *args)))
+    assert Fraction(1, 2) and built == [(1, 2)]  # the count is live
+    built.clear()
+    assert cli.main(command.split()) == 0
+    assert capsys.readouterr().out
+    assert built == []
 
 
 class _RecordingStdout:

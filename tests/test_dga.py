@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ def test_invariant_model_differential():
     # the relation polynomials live on the same even ordinals
     for name, degree, image in (("f1", 3, q.q1), ("f2", 5, q.q2),
                                 ("f3", 7, q.q3)):
-        d.add_generator(name, degree, None, integer_image(image))
+        d.add_generator(name, degree, None, image)
     assert d.apply_d(gs.gen("f1")) == gs.gen("α") ** 2 + gs.gen("β")
     assert d.check_d_squared() == []
 
@@ -222,9 +223,23 @@ def test_quotient_reduce_across_degrees():
 def test_mixed_weight_relation_rejected():
     gs = moduli.full_generators(2)
     mixed = gs.gen("γ1") + gs.gen("γ2")  # degree 3, weights L1 and L2
-    with pytest.raises(ValidationFailure, match="^relation 1: "):
+    with pytest.raises(ValidationFailure,
+                       match="^relation 1: element is not weight-homogeneous$"):
         DGA(gs, relations=[integer_image(gs.gen("α") * gs.gen("α")),
                            integer_image(mixed)])
+
+
+@pytest.mark.parametrize("mixed, degrees", [
+    (lambda a, b, g1: a * a * a + b, "[4, 6]"),  # weight 0 both
+    (lambda a, b, g1: g1 + g1 * a, "[3, 5]"),  # weight L1 both
+    (lambda a, b, g1: g1 + a * a, "[3, 4]"),  # the weights differ too
+], ids=["even", "odd", "weight-too"])
+def test_mixed_degree_relation_rejected(mixed, degrees):
+    gs = moduli.full_generators(2)
+    x = mixed(gs.gen("α"), gs.gen("β"), gs.gen("γ1"))
+    with pytest.raises(ValidationFailure, match=re.escape(
+            f"relation 1: inhomogeneous element: degrees {degrees}")):
+        DGA(gs, relations=[integer_image(gs.gen("β")), integer_image(x)])
 
 
 def test_coboundary_coordinates_read_off_free_columns():

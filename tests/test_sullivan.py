@@ -1,17 +1,19 @@
 import dataclasses
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 
 from sphomotopy import exact_linalg as ela
 from sphomotopy import moduli, sp_characters, sullivan, tables
-from sphomotopy.dga import DGA, CohomologyBlock
+from sphomotopy.dga import DGA, CohomologyBlock, as_element
 from sphomotopy.errors import (BudgetExceeded, InternalInconsistency,
                                TargetNotOneConnected, ValidationFailure)
 from sphomotopy.free_gca import ONE, Element, GeneratorSet, Monomial
 
 from cleared import cleared_rows, integer_image
+from relation_reference import q_elements
 
 
 def sphere_target():
@@ -370,7 +372,8 @@ def _reference_kernel_part(model, blk):
     rho_rows = [{} for _ in index]
     for k, rep in enumerate(reps):
         for j, c in rep.items():
-            for t, v in model.rho_of_monomial(src[j]).terms.items():
+            for t, v in as_element(model.target.gs,
+                                   model.rho_of_monomial(src[j])).terms.items():
                 row = rho_rows[index[t]]
                 row[k] = row.get(k, 0) + c * v
     out = []
@@ -423,11 +426,9 @@ def test_invariant_model_genus_2():
     gens = [(g.degree, g.name, g.d_image.render())
             for s in model.stages for g in s.generators]
     assert [t[0] for t in gens] == [2, 3, 4, 5, 6, 7]
-    q = moduli.q_polynomials(2)
     by_degree = {t[0]: t[2] for t in gens}
-    assert by_degree[3] == q.q1.render()
-    assert by_degree[5] == q.q2.render()
-    assert by_degree[7] == q.q3.render()
+    assert [by_degree[3], by_degree[5], by_degree[7]] == \
+        [q.render() for q in q_elements(2)]
     assert by_degree[2] == by_degree[4] == by_degree[6] == "0"
 
 
@@ -466,18 +467,19 @@ def test_invariant_finite_model_needs_genus_2():
 
 def _corrupt_invariant_triple(monkeypatch, **extra):
     """Add ``extra[name]`` to the named polynomials of the relation triple
-    that ``invariant_model`` transgresses to; the target ring keeps the
-    true triple. Each extra is a function of the triple's generator set."""
-    q_polynomials = moduli.q_polynomials
+    that ``invariant_model`` transgresses to; the target ring, built in
+    ``moduli``, keeps the true triple. Each extra is a function of the
+    triple's generator set."""
 
-    def corrupted(g, gs=None):
-        q = q_polynomials(g, gs)
-        if gs is not None:
-            return q
-        return dataclasses.replace(q, **{
-            name: getattr(q, name) + make(q.q1.gs) for name, make in extra.items()})
+    def corrupted(g):
+        q = moduli.q_polynomials(g)
+        gs = moduli.invariant_generators(g)
+        return q._replace(**{name: integer_image(as_element(gs, getattr(q, name))
+                                                 + make(gs))
+                             for name, make in extra.items()})
 
-    monkeypatch.setattr(moduli, "q_polynomials", corrupted)
+    monkeypatch.setattr(sullivan, "moduli", types.SimpleNamespace(
+        **{**vars(moduli), "q_polynomials": corrupted}))
 
 
 def test_invariant_transgression_outside_rho_kernel_detected(monkeypatch):
@@ -526,12 +528,12 @@ def test_rho_columns_reject_foreign_terms(monkeypatch):
     model.extend_stage(2)
     blk = model.dga.cohomology(2, ())
     assert model._rho_columns(blk, target.basis(2, ())) == [{0: 1}]
-    monkeypatch.setattr(model, "rho_of_monomial", lambda m: h * h)
+    monkeypatch.setattr(model, "rho_of_monomial", lambda m: integer_image(h * h))
     with pytest.raises(InternalInconsistency,
                        match=r"leaves the \(2, \(\)\) block"):
         model._rho_columns(blk, target.basis(2, ()))
     # stage 3 reads H^4, where v2² maps to h: a degree-2 term
-    monkeypatch.setattr(model, "rho_of_monomial", lambda m: h)
+    monkeypatch.setattr(model, "rho_of_monomial", lambda m: integer_image(h))
     with pytest.raises(InternalInconsistency,
                        match=r"leaves the \(4, \(\)\) block"):
         model.extend_stage(3)
@@ -582,7 +584,7 @@ def test_rho_is_the_algebra_map(make, top):
     checked = nonzero = 0
     for n in range(top + 1):
         for m in model.dga.gs.basis(n):
-            got = model.rho_of_monomial(m)
+            got = as_element(model.target.gs, model.rho_of_monomial(m))
             assert got == reference(m), (n, m)
             checked += 1
             nonzero += not got.is_zero()
@@ -617,10 +619,9 @@ def test_generic_build_matches_invariant_model_genus_4():
     assert generic.check_minimality() == []
     d_by_degree = {g.degree: g.d_image for s in generic.stages
                    for g in s.generators}
-    q = moduli.q_polynomials(4)
-    gs_inv = q.q1.gs
-    for deg, poly, earlier in ((7, q.q1, []), (9, q.q2, [q.q1]),
-                               (11, q.q3, [q.q1, q.q2])):
+    q1, q2, q3 = q_elements(4)
+    gs_inv = moduli.invariant_generators(4)
+    for deg, poly, earlier in ((7, q1, []), (9, q2, [q1]), (11, q3, [q1, q2])):
         img = d_by_degree[deg]
         basis = gs_inv.basis(deg + 1)
         index = {m: i for i, m in enumerate(basis)}
