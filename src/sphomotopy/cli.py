@@ -194,8 +194,8 @@ def _suite_invariant_model(args):
     model = sullivan.invariant_model(g, max_degree, args.budget)
     expected = {2: "0", 4: "0", 6: "0",
                 **dict(zip((2 * g - 1, 2 * g + 1, 2 * g + 3), _render_triple(g)))}
-    degs = {gen.degree: render_terms(model.dga.gs, gen.d_int[1], gen.d_int[0])
-            for s in model.stages for gen in s.generators}
+    degs = {gen["degree"]: gen["d_image"]
+            for _, gens in model.json_stages() for gen in gens}
     want = tables.invariant_generator_degrees(g)
     yield (f"genus {g} generator degrees", str(want), str(sorted(degs)),
            sorted(degs) == want)

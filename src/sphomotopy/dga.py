@@ -42,19 +42,17 @@ built when it is first read, after the lower ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import sub
+from typing import NamedTuple
 
 from . import exact_linalg as ela
 from .errors import InternalInconsistency, ValidationFailure
 from .free_gca import Element, GeneratorSet, Monomial, _bits
 
 
-@dataclass
-class CohomologyBlock:
+class CohomologyBlock(NamedTuple):
     """Coboundaries and canonical cohomology representatives in one
     (degree, weight) block.
 
@@ -89,7 +87,9 @@ _ZERO = (1, {})  # the zero integer image, d of a cocycle; never mutated
 
 
 def as_element(gs, image) -> Element:
-    """The ``Element`` view of an integer image ``(den, {monomial: int})``."""
+    """The ``Element`` view of an integer image ``(den, {monomial: int})``;
+    like the ``Element`` constructors, it imports ``fractions`` on call."""
+    from fractions import Fraction
     den, terms = image
     return Element(gs, {m: Fraction(c, den) for m, c in terms.items()})
 

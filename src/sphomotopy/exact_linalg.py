@@ -13,18 +13,15 @@ same form. The one elimination, ``_echelon_rows``, takes integer
 vector with a positive pivot entry; a caller that needs the unit pivot
 divides by it. ``RationalMatrix`` and the preimage solver, which takes
 and returns dense rational vectors, are kept only for the benchmark's
-layer tracer.
+layer tracer; the solver imports ``fractions`` only when called.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotInImage
-
-_ZERO = Fraction(0)
 
 
 class RationalMatrix:
@@ -239,6 +236,7 @@ def cokernel_complement_indices(image_gens, ambient_dim: int):
 def _solve_augmented(m: RationalMatrix, bs):
     """RREF of [den·m | den·b_0 ... den·b_{k-1}], with ``m.rows`` standing
     for den·m; returns (pivots, rows)."""
+    from fractions import Fraction
     rows = [dict(r) for r in m.rows]
     for k, b in enumerate(bs):
         col = m.ncols + k
@@ -258,6 +256,7 @@ def preimage_many(m: RationalMatrix, bs):
     Free variables are set to zero, so the solution is canonical.
     Raises NotInImage if any right side is outside the column space.
     """
+    from fractions import Fraction
     bs = list(bs)
     pivots, rows = _solve_augmented(m, bs)
     # a row whose matrix part vanished expresses a functional that kills
@@ -269,7 +268,7 @@ def preimage_many(m: RationalMatrix, bs):
         for i in null_rows:
             if rows[i].get(col):
                 raise NotInImage(f"vector {k} not in the column space")
-        vec = [_ZERO] * m.ncols
+        vec = [Fraction(0)] * m.ncols
         for i, p in enumerate(pivots):
             if p < m.ncols:
                 v = rows[i].get(col)

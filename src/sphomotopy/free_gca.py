@@ -13,13 +13,15 @@ relies on this). A degree's basis is built once and extended, not
 rebuilt, when generators are added: each monomial is made exactly once.
 Sizes come from the Poincaré series alone (``_series``), which the budget
 check reads before anything is enumerated.
+
+The ``Element`` constructors import ``fractions`` when called: no
+command-line run builds a ``Fraction``, so none pays for importing it
+(and ``decimal`` behind it) at start-up.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -56,8 +58,7 @@ class Monomial(NamedTuple):
 ONE = Monomial((), 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     degree: int
     weight: tuple
@@ -273,12 +274,15 @@ class GeneratorSet:
         return Element(self, {})
 
     def unit(self, coeff=1) -> "Element":
+        from fractions import Fraction
         return Element(self, {ONE: Fraction(coeff)} if coeff else {})
 
     def gen(self, name: str) -> "Element":
+        from fractions import Fraction
         return Element(self, {self.monomial_of(name): Fraction(1)})
 
     def element(self, terms: dict) -> "Element":
+        from fractions import Fraction
         return Element(self, {m: Fraction(c) for m, c in terms.items() if c})
 
 
@@ -330,6 +334,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> "Element":
+        from fractions import Fraction
         c = Fraction(c)
         if not c:
             return Element(self.gs, {})

@@ -47,12 +47,12 @@ the stage decompositions are choice-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from . import exact_linalg as ela
 from . import moduli, sp_characters
-from .dga import _ZERO, DGA, as_element, element_sum, image_sum
+from .dga import _ZERO, DGA, element_sum, image_sum
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
 from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
@@ -69,33 +69,10 @@ def _combination(coeffs: dict, vectors) -> dict:
     return {i: v for i, v in out.items() if v}
 
 
-@dataclass(slots=True)
-class StageGenerator:
-    """One generator of a stage. ``d_int`` is the model DGA's own integer
-    image ``(den, {monomial: int})`` of d(v), and ``rho`` the target
-    monomial ρ(v), or None when ρ(v) = 0; ``d_image`` and ``rho_image``
-    are ``Element`` views of them, built on access."""
+class MinimalModelStage(NamedTuple):
+    """The degree-n generators, as ``DGA.add_generator`` returned them: d(v)
+    is the model DGA's stored integer image and ρ(v) is ``MinimalModel.rho``."""
 
-    name: str
-    degree: int
-    weight: tuple
-    part: str  # 'C' or 'N'
-    d_int: tuple
-    rho: Monomial | None
-    gs: GeneratorSet = field(repr=False)
-    target_gs: GeneratorSet = field(repr=False)
-
-    @property
-    def d_image(self) -> Element:
-        return as_element(self.gs, self.d_int)
-
-    @property
-    def rho_image(self) -> Element:
-        return self.target_gs.element({} if self.rho is None else {self.rho: 1})
-
-
-@dataclass
-class MinimalModelStage:
     degree: int
     generators: list
 
@@ -195,10 +172,9 @@ class MinimalModel:
             images[j] = {index[t]: v * (den // d) for t, v in terms.items()}
         return [_combination(rep, images) for rep in reps]
 
-    def _register(self, stage_gens, name, degree, weight, part, d_image,
-                  rho_mono):
-        """Adjoin one generator with d(g) the integer image ``d_image``
-        ``(den, {monomial: int})`` and ρ(g) the target monomial
+    def _register(self, name, degree, weight, d_image, rho_mono):
+        """Adjoin and return one generator with d(g) the integer image
+        ``d_image`` ``(den, {monomial: int})`` and ρ(g) the target monomial
         ``rho_mono``, or 0 if it is None. ``DGA.add_generator`` checks that
         d(g) stays in the generator's block; the other postconditions are
         the caller's: block identities in ``extend_stage``, direct checks
@@ -210,8 +186,7 @@ class MinimalModel:
                 self._rho_odd |= 1 << g.ordinal
             else:
                 self._rho_even.add(g.ordinal)
-        stage_gens.append(StageGenerator(name, degree, g.weight, part, d_image,
-                                         rho_mono, self.dga.gs, self.target.gs))
+        return g
 
     def extend_stage(self, n: int) -> MinimalModelStage:
         """Compute and adjoin the degree-n generators.
@@ -230,7 +205,6 @@ class MinimalModel:
         gs = self.dga.gs
         gs.check_budget((n, n + 1, n + 2), self.budget)
         A = self.target
-        stage_gens: list[StageGenerator] = []
         counters: dict = {}
 
         def fresh_name(w):
@@ -280,11 +254,11 @@ class MinimalModel:
                 n_plan.extend(self._kernel_part(blk, cols, kernel))
 
         # register after all cohomology in the old algebra is computed
-        for w, mono in c_plan:
-            self._register(stage_gens, fresh_name(w), n, w, "C", _ZERO, mono)
-        for w, d_img in n_plan:
-            self._register(stage_gens, fresh_name(w), n, w, "N", d_img, None)
-        stage = MinimalModelStage(n, stage_gens)
+        gens = [self._register(fresh_name(w), n, w, _ZERO, mono)
+                for w, mono in c_plan]
+        gens += [self._register(fresh_name(w), n, w, d_img, None)
+                 for w, d_img in n_plan]
+        stage = MinimalModelStage(n, gens)
         self.stages.append(stage)
         self._complements = (n + 1, complements)
         return stage
@@ -366,32 +340,44 @@ class MinimalModel:
 
     def check_minimality(self) -> list:
         """Generators whose differential has a word-length-1 term."""
-        word_length = self.dga.gs.word_length
-        return [g.name for s in self.stages for g in s.generators
-                if any(word_length(m) < 2 for m in g.d_int[1])]
+        gs, d_gen = self.dga.gs, self.dga._d_gen
+        return [g.name for g in gs.gens
+                if any(gs.word_length(m) < 2 for m in d_gen[g.index][1])]
 
     def json_stages(self) -> list:
         """Per stage, its header ``{degree, dim, irreps}`` and a lazy
-        iterator of its generators as plain data, each image rendered from
-        its integer form. Every stage is decomposed before this returns, so
-        a stage whose weights form no character raises before anything is
-        rendered."""
-        gs, tgs = self.dga.gs, self.target.gs
+        iterator of its generators as plain data, d(v) rendered from the
+        DGA's stored integer image and ρ(v) from ``rho``. Part "C" is a
+        generator with ρ(v) != 0, which both constructions register with
+        d(v) = 0; part "N" has ρ(v) = 0 and d(v) != 0. Every stage is
+        decomposed before this returns, so a stage whose weights form no
+        character raises before anything is rendered. Each iterator holds
+        its own stage's images and not the DGA, so once the model is
+        dropped a stage's images are freed as soon as it is rendered."""
+        gs, tgs, d_gen, rho = self.dga.gs, self.target.gs, self.dga._d_gen, self.rho
 
         def head(s):
             irreps = sorted(s.irreps().items(), reverse=True)
             return {"degree": s.degree, "dim": s.dim,
                     "irreps": [{"label": list(l), "mult": m} for l, m in irreps]}
 
-        return [(head(s), ({
-            "name": g.name,
-            "degree": g.degree,
-            "weight": list(g.weight),
-            "part": g.part,
-            "d_image": render_terms(gs, g.d_int[1], g.d_int[0]),
-            "rho_image": "0" if g.rho is None else
-            render_terms(tgs, {g.rho: 1}, 1),
-        } for g in s.generators)) for s in self.stages]
+        def body(image, g):
+            den, terms = image
+            mono = rho.get(g.index)
+            return {
+                "name": g.name,
+                "degree": g.degree,
+                "weight": list(g.weight),
+                "part": "N" if mono is None else "C",
+                "d_image": render_terms(gs, terms, den),
+                "rho_image": "0" if mono is None else render_terms(tgs, {mono: 1}, 1),
+            }
+
+        # the images go first: map stops at its first exhausted iterator,
+        # and an exhausted list iterator lets go of its list
+        return [(head(s), map(body, [d_gen[g.index] for g in s.generators],
+                              s.generators))
+                for s in self.stages]
 
     def to_json_dict(self, genus=None) -> dict:
         """The stages of ``json_stages``, materialized."""
@@ -460,23 +446,23 @@ def invariant_model(g: int, max_degree: int,
     # appear linearly in the relation polynomials when the genus is small;
     # the relation images live on even ordinals matching ours
     plan = [
-        ("α", 2, "C", _ZERO, "α"),
-        ("β", 4, "C", _ZERO, "β"),
-        ("γ", 6, "C", _ZERO, "γ"),
-        ("f1", 2 * g - 1, "N", q.q1, None),
-        ("f2", 2 * g + 1, "N", q.q2, None),
-        ("f3", 2 * g + 3, "N", q.q3, None),
+        ("α", 2, _ZERO, "α"),
+        ("β", 4, _ZERO, "β"),
+        ("γ", 6, _ZERO, "γ"),
+        ("f1", 2 * g - 1, q.q1, None),
+        ("f2", 2 * g + 1, q.q2, None),
+        ("f3", 2 * g + 3, q.q3, None),
     ]
     by_degree: dict = {}
-    for name, deg, part, d_img, rho_name in plan:
+    for name, deg, d_img, rho_name in plan:
         rho_mono = None if rho_name is None else A.gs.monomial_of(rho_name)
-        bucket: list[StageGenerator] = by_degree.setdefault(deg, [])
-        model._register(bucket, name, deg, zero_w, part, d_img, rho_mono)
+        by_degree.setdefault(deg, []).append(
+            model._register(name, deg, zero_w, d_img, rho_mono))
     # the transgressions are written down, not derived: check them
     bad = model.dga.check_d_squared()
     if bad:
         raise InternalInconsistency(f"d(d(v)) != 0 for {bad}")
-    for name, _, _, (_, terms), _ in plan:
+    for name, _, (_, terms), _ in plan:
         if image_sum((c, model.rho_of_monomial(m)) for m, c in terms.items())[1]:
             raise InternalInconsistency(f"structure map fails to kill d({name})")
     model.stages = [MinimalModelStage(n, by_degree.get(n, []))

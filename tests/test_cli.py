@@ -499,6 +499,31 @@ def test_no_run_builds_a_fraction(monkeypatch, capsys, command):
     assert built == []
 
 
+def test_runs_import_no_dataclasses_or_fractions():
+    """In a fresh interpreter, the commands run without importing
+    ``dataclasses`` or ``fractions``, nor ``inspect`` and ``decimal``,
+    which those two bring in: the records are named tuples, and only the
+    ``Element`` constructors import ``Fraction``."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from sphomotopy import cli\n"
+        "for argv in sys.argv[2:]:\n"
+        "    assert cli.main(argv.split()) == 0, argv\n"
+        "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}\n"
+        "              & sys.modules.keys()), file=sys.stderr)\n")
+    res = subprocess.run(
+        [sys.executable, "-I", "-c", script, SRC_DIR,
+         "betti --genus 3", "relations --genus 3",
+         "minimal-model --genus 2 --max-degree 8",
+         "minimal-model --genus 2 --max-degree 8 --format json",
+         "verify --suite invariant-model"],
+        capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "PASS suite invariant-model" in res.stdout
+    assert res.stderr == "\n"
+
+
 class _RecordingStdout:
     """A stdout that keeps every write apart."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import types
 from fractions import Fraction
@@ -23,6 +22,23 @@ def sphere_target():
     return DGA(gs, relations=[integer_image(h * h)])
 
 
+def d_of(model, g):
+    """d(g) as an ``Element``, read through the model DGA."""
+    return model.dga.d_monomial(model.dga.gs.monomial_of(g))
+
+
+def rho_of(model, g):
+    """ρ(g) as an ``Element``, read through the structure map."""
+    return model.rho_star(model.dga.gs.gen(g.name))
+
+
+def parts(model):
+    """Each generator's part, by name: "C" when ρ(g) != 0, the rule that
+    ``json_stages`` writes it by."""
+    return {g.name: "N" if rho_of(model, g).is_zero() else "C"
+            for g in model.dga.gs.gens}
+
+
 @pytest.fixture(scope="module")
 def g2_model():
     return sullivan.build(moduli.build_cohomology_algebra(2), 7)
@@ -33,11 +49,11 @@ def test_sphere_two_stage_model():
     assert model.dims() == {2: 1, 3: 1, 4: 0, 5: 0, 6: 0}
     v2 = model.stage(2).generators[0]
     v3 = model.stage(3).generators[0]
-    assert v2.part == "C" and v2.d_image.is_zero()
-    assert v3.part == "N" and v3.rho_image.is_zero()
+    assert parts(model) == {v2.name: "C", v3.name: "N"}
+    assert d_of(model, v2).is_zero() and rho_of(model, v3).is_zero()
     gs = model.dga.gs
     h = gs.gen(v2.name)
-    assert v3.d_image == h * h
+    assert d_of(model, v3) == h * h
     assert model.verify_quasi_iso(6).ok
 
 
@@ -106,8 +122,9 @@ def test_g2_low_degree_decompositions(g2_model):
 def test_g2_stage4_transgression_is_iso(g2_model):
     # the degree-4 differentials span the degree-3 times degree-2 block
     gens = g2_model.stage(4).generators
-    assert all(g.part == "N" for g in gens)
-    images = [g.d_image for g in gens]
+    part = parts(g2_model)
+    assert all(part[g.name] == "N" for g in gens)
+    images = [d_of(g2_model, g) for g in gens]
     gs = g2_model.dga.gs
     basis = gs.basis(5)
     index = {m: i for i, m in enumerate(basis)}
@@ -118,7 +135,8 @@ def test_g2_stage4_transgression_is_iso(g2_model):
 def test_g2_stage5_kernel_shape(g2_model):
     stage = g2_model.stage(5)
     assert stage.dim == 6
-    assert all(g.part == "N" for g in stage.generators)
+    part = parts(g2_model)
+    assert all(part[g.name] == "N" for g in stage.generators)
     assert stage.irreps() == {(0, 1): 1, (0, 0): 1}
 
 
@@ -148,13 +166,15 @@ def test_g2_model_cohomology_matches_betti(g2_model):
 def test_model_properties_hold(g2_model):
     assert g2_model.dga.check_d_squared() == []
     assert g2_model.check_minimality() == []
+    part = parts(g2_model)
     for s in g2_model.stages:
         for g in s.generators:
-            assert g2_model.rho_star(g.d_image).is_zero()
-            if g.part == "N":
-                assert g.rho_image.is_zero()
-            if not g.d_image.is_zero():
-                assert g.d_image.weight() == g.weight
+            d = d_of(g2_model, g)
+            assert g2_model.rho_star(d).is_zero()
+            if part[g.name] == "N":
+                assert rho_of(g2_model, g).is_zero()
+            if not d.is_zero():
+                assert d.weight() == g.weight
 
 
 def test_weights_preserved_by_d(g2_model):
@@ -174,10 +194,9 @@ def test_dropped_generator_fails_injectivity():
     crippled = sullivan.MinimalModel(moduli.build_cohomology_algebra(2))
     for n in (2, 3):
         crippled.extend_stage(n)
-    bucket = []
-    for g in full.stage(4).generators[:-1]:
-        # monomials are value objects: the image reads the same in both
-        crippled._register(bucket, g.name, 4, g.weight, g.part, g.d_int, None)
+    # monomials are value objects: the image reads the same in both
+    bucket = [crippled._register(g.name, 4, g.weight, full.dga._d_gen[g.index], None)
+              for g in full.stage(4).generators[:-1]]
     crippled.stages.append(sullivan.MinimalModelStage(4, bucket))
     report = crippled.verify_quasi_iso(4)
     assert not report.ok
@@ -196,9 +215,10 @@ def test_genus3_low_degrees():
     _, expanded = moduli.expand_invariant([q1.q1], moduli.full_generators(3), 3)[0]
     # compare through the structure map: both must die in the target and
     # have the same monomial support pattern of degrees
-    assert gen5.d_image.degree() == 6
-    assert model.rho_star(gen5.d_image).is_zero()
-    assert len(gen5.d_image.terms) == len(expanded)
+    d5 = d_of(model, gen5)
+    assert d5.degree() == 6
+    assert model.rho_star(d5).is_zero()
+    assert len(d5.terms) == len(expanded)
 
 
 def _reference_c_plan(model, n):
@@ -233,8 +253,9 @@ def test_reused_c_plan_matches_recomputation(g, top):
     for n in range(2, top + 1):
         want = _reference_c_plan(model, n)
         stage = model.extend_stage(n)
-        got = [(gen.weight, gen.rho_image) for gen in stage.generators
-               if gen.part == "C"]
+        part = parts(model)
+        got = [(gen.weight, rho_of(model, gen)) for gen in stage.generators
+               if part[gen.name] == "C"]
         assert got == want, n
         c_gens += len(got)
     assert c_gens > 1
@@ -247,8 +268,8 @@ def test_transgression_into_coboundaries_rejected(monkeypatch):
 
     def kernel_claimed_bounding(self, n, weight=None):
         blk = cohomology(self, n, weight)
-        blk.coordinates = blk.coordinates + [{p: 1} for p in blk.positions]
-        return blk
+        return blk._replace(
+            coordinates=blk.coordinates + [{p: 1} for p in blk.positions])
 
     model = sullivan.MinimalModel(sphere_target())
     model.extend_stage(2)
@@ -279,8 +300,8 @@ def test_noncocycle_differential_detected(monkeypatch):
 
     def off_kernel(self, n, weight=None):
         blk = cohomology(self, n, weight)
-        return dataclasses.replace(
-            blk, representative_vectors=_bump_below_free(blk.representative_vectors))
+        return blk._replace(
+            representative_vectors=_bump_below_free(blk.representative_vectors))
 
     target = moduli.build_cohomology_algebra(2)
     monkeypatch.setattr(DGA, "cohomology", off_kernel)
@@ -423,7 +444,7 @@ def test_budget_guard():
 
 def test_invariant_model_genus_2():
     model = sullivan.invariant_model(2, 13)
-    gens = [(g.degree, g.name, g.d_image.render())
+    gens = [(g.degree, g.name, d_of(model, g).render())
             for s in model.stages for g in s.generators]
     assert [t[0] for t in gens] == [2, 3, 4, 5, 6, 7]
     by_degree = {t[0]: t[2] for t in gens}
@@ -542,12 +563,14 @@ def test_rho_columns_reject_foreign_terms(monkeypatch):
 def _reference_rho(model):
     """ρ by its recursive definition: ρ(1) = 1 and ρ(rest·g) =
     reduce(ρ(rest)·ρ(g)), with g the last odd factor, or the last even one
-    if there is none, and ρ(g) the generator's ``rho_image``. Also returns
-    the list of the monomials whose last product is not reduced."""
+    if there is none, and ρ(g) the generator's target monomial in
+    ``model.rho``, or 0. Also returns the list of the monomials whose last
+    product is not reduced."""
     A = model.target
     gs = model.dga.gs
-    images = {gs[g.name].index: g.rho_image
-              for s in model.stages for g in s.generators}
+    rho = model.rho
+    images = {g.index: A.gs.element({rho[g.index]: 1} if g.index in rho else {})
+              for g in gs.gens}
     cache = {ONE: A.gs.unit()}
     unreduced = []
 
@@ -617,7 +640,7 @@ def test_generic_build_matches_invariant_model_genus_4():
     degrees = sorted(g.degree for s in generic.stages for g in s.generators)
     assert degrees == [2, 4, 6, 7, 9, 11]
     assert generic.check_minimality() == []
-    d_by_degree = {g.degree: g.d_image for s in generic.stages
+    d_by_degree = {g.degree: d_of(generic, g) for s in generic.stages
                    for g in s.generators}
     q1, q2, q3 = q_elements(4)
     gs_inv = moduli.invariant_generators(4)
@@ -671,9 +694,51 @@ def test_json_dump_shape(g2_model):
     assert set(gen) == {"name", "degree", "weight", "part", "d_image", "rho_image"}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sullivan.build(moduli.build_cohomology_algebra(2), 12),
+    lambda: sullivan.build(moduli.build_cohomology_algebra(3), 11),
+    *(lambda g=g: sullivan.invariant_model(g, max(13, 2 * g + 3))
+      for g in range(2, 6)),
+    lambda: sullivan.build(moduli.invariant_ring(1), 8),
+], ids=["genus2-12", "genus3-11", *(f"invariant-genus{g}" for g in range(2, 6)),
+        "invariant-genus1-8"])
+def test_stages_list_the_model_generators(make):
+    """The stages, in order, list the model DGA's own generators by degree:
+    in the order they were adjoined, which is rising degree for ``build``;
+    ``invariant_model`` adjoins the even cocycles first. Each generator's
+    part is read off the model: "C" exactly when ρ(v) != 0, which is
+    exactly when d(v) = 0, as ``json_stages`` writes it."""
+    model = make()
+    gens = [g for s in model.stages for g in s.generators]
+    assert gens == sorted(model.dga.gs.gens, key=lambda g: g.degree)
+    assert all(g.degree == s.degree for s in model.stages for g in s.generators)
+    written = [gen["part"] for _, gens in model.json_stages() for gen in gens]
+    part = parts(model)
+    assert written == [part[g.name] for g in gens]
+    for g, part in zip(gens, written):
+        assert (part == "C") == (not rho_of(model, g).is_zero()) == \
+            d_of(model, g).is_zero(), g.name
+
+
+def test_json_stages_let_go_of_each_rendered_stage():
+    """Once the model is dropped, a stage's iterator holds the only other
+    reference to each of its images, and lets go when it is exhausted, so
+    a streamed dump does not keep every differential to the end."""
+    model = sullivan.build(moduli.build_cohomology_algebra(2), 7)
+    stages = model.json_stages()
+    image = model.dga._d_gen[model.stage(7).generators[0].index]
+    assert image[1]
+    del model
+    held = sys.getrefcount(image)
+    assert sum(1 for _ in stages[-1][1]) == 30
+    assert sys.getrefcount(image) == held - 1
+
+
 def test_generator_records_have_slots(g2_model):
     assert not hasattr(g2_model.dga.gs.gens[0], "__dict__")
     assert not hasattr(g2_model.stages[0].generators[0], "__dict__")
+    assert not hasattr(g2_model.stages[0], "__dict__")
+    assert not hasattr(g2_model.dga.cohomology(2), "__dict__")
 
 
 def test_deterministic_rebuild(g2_model):
