@@ -45,8 +45,9 @@ def cmd_betti(args) -> int:
 def cmd_relations(args) -> int:
     g = args.genus
     if g >= 2:
-        # the primitive parts enumerate through degree 3(2g+1); refuse
-        # before the relation recursion, which is itself costly at large g
+        # the primitive parts enumerate only odd products, through degree
+        # 3g; the counts through degree 6g+3 guard the relation recursion,
+        # whose cost grows with g, and refuse a large genus before it runs
         moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
     degrees = [2 * g, 2 * g + 2, 2 * g + 4]
     payload = {"genus": g, "degrees": degrees, "q": _render_triple(g)}
@@ -68,8 +69,9 @@ def cmd_relations(args) -> int:
 
 
 def _render_triple(g: int) -> list:
+    q = moduli.q_polynomials(g)  # checks the genus before the generators need it
     gs = moduli.invariant_generators(g)
-    return [render_terms(gs, terms, den) for den, terms in moduli.q_polynomials(g)]
+    return [render_terms(gs, terms, den) for den, terms in q]
 
 
 def _build_model(args) -> sullivan.MinimalModel:

@@ -24,20 +24,20 @@ rows of den·d, with den the lcm of the block's denominators: RREF and
 the canonical kernel vectors do not change under row scaling, although
 they do under column scaling. The cohomology block keeps those rows for
 the model's d²=0 check. ``Element``s are built only at the API edge
-(``d_monomial``, ``apply_d``, ``reduce``, ``as_element``).
+(``d_monomial``, ``reduce``, ``as_element``).
 
 A quotient keeps one record per degree, read off the row-reduced degree-n
 part of the ideal I the relations generate. I splits into (degree,
 weight) blocks, and ``ideal_block`` row-reduces each from the relations
-in it and generator multiples of the lower blocks' integer RREF rows,
-which the ring keeps beside the record. The record holds each block's
-canonical monomial transversal (the non-pivot monomials) and, for each
-pivot monomial, its reduced form over the transversal, an integer image
-read off its RREF row. Reduction replaces each pivot monomial by its
-form, in one pass. It is the linear projection whose kernel is the
-ideal, so a product may be reduced once, after all its factors are
-multiplied: reduce(reduce(a)·b) = reduce(a·b). A degree's record is
-built when it is first read, after the lower ones.
+in it and generator multiples of the lower blocks' integer RREF rows.
+The record holds each block's canonical monomial transversal (the
+non-pivot monomials), for each pivot monomial its reduced form over the
+transversal, an integer image read off its RREF row, and the RREF rows
+themselves, which the blocks of higher degrees read. Reduction replaces
+each pivot monomial by its form, in one pass. It is the linear
+projection whose kernel is the ideal, so a product may be reduced once,
+after all its factors are multiplied: reduce(reduce(a)·b) = reduce(a·b).
+A degree's record is built when it is first read, after the lower ones.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ class CohomologyBlock(NamedTuple):
     """Coboundaries and canonical cohomology representatives in one
     (degree, weight) block.
 
-    ``coboundary_vectors`` and ``representative_vectors`` are sparse
-    ``{position: int}`` vectors over ``monomials``. The coboundary vectors
-    are independent and span the coboundaries: the pivot columns of d
-    (see ``DGA.cohomology``). Each representative is den·z_k, z_k a
-    canonical cocycle basis vector and den one positive integer for the
-    block. ``coordinates`` gives each coboundary vector in the canonical
-    basis z_k, and ``positions`` says which z_k each representative is.
+    ``representative_vectors`` are sparse ``{position: int}`` vectors over
+    ``monomials``. Each is den·z_k, z_k a canonical cocycle basis vector
+    and den one positive integer for the block. ``coordinates`` gives each
+    coboundary in the canonical basis z_k; the coboundaries are the pivot
+    columns of d, independent and spanning (see ``DGA.cohomology``).
+    ``positions`` says which z_k each representative is.
     ``d_rows`` are the rows of d: n -> n+1 the cocycles were computed
     from, as integer ``(cols, nums)`` pairs over the positions of
     ``monomials`` (see ``DGA._d_rows``); the model checks d²=0 against
@@ -72,7 +71,6 @@ class CohomologyBlock(NamedTuple):
     degree: int
     weight: tuple | None
     monomials: list
-    coboundary_vectors: list
     representative_vectors: list
     coordinates: list
     positions: list
@@ -224,20 +222,18 @@ class DGA:
         ``(den, {monomial: int})`` each homogeneous in degree and weight,
         the quotient by the ideal they generate."""
         self.gs = gs
-        self.relations = None if relations is None else list(relations)
         # generator index -> d as (den, {monomial: int})
         self._d_gen: dict[int, tuple] = {g.index: _ZERO for g in gs.gens}
         # ((degree, weight), its free monomials), see add_generator
         self._guard: tuple = (None, set())
-        # degree -> (by_weight, pivots), see _quotient_data
-        self._quot_cache: dict = {}
+        # degree -> (by_weight, pivots, ideal), see _quotient_data
+        self._records: dict = {}
         # (n, weight) -> (source length, pivot columns) of the d(n) block
         self._d_pivots: dict = {}
-        # degree -> weight -> the relations there as integer term lists
-        self.relation_groups: dict = {}
-        # degree -> {weight: (free monomials, RREF rows of the ideal)}
-        self._ideal_rows: dict = {}
-        rels = [(pos, terms) for pos, (_, terms) in enumerate(self.relations or ())
+        # degree -> weight -> the relations there as integer term lists;
+        # None for a free DGA
+        self.relation_groups = None if relations is None else {}
+        rels = [(pos, terms) for pos, (_, terms) in enumerate(relations or ())
                 if terms]
         for (_, terms), (n, w) in zip(rels, _relation_blocks(gs, rels)):
             # den·r: scaling a row leaves the RREF alone
@@ -319,9 +315,6 @@ class DGA:
         """d(m) as an ``Element``: an uncached view of the integer form."""
         return as_element(self.gs, self._d_int(m))
 
-    def apply_d(self, x: Element) -> Element:
-        return element_sum(self.gs, x, self._d_int)
-
     def check_d_squared(self):
         """Generators v with d(d(v)) != 0: with d(v) = (1/den)·Σ c_m·m,
         den·d(d(v)) is the integer sum Σ c_m·d(m) of ``image_sum``."""
@@ -331,13 +324,13 @@ class DGA:
     # -- bases ---------------------------------------------------------------
 
     def is_quotient(self) -> bool:
-        return self.relations is not None
+        return self.relation_groups is not None
 
     def basis_by_weight(self, n: int) -> dict:
         """{weight: monomials} of the degree-n basis, weights unsorted."""
         if not self.is_quotient():
             return self.gs.basis_by_weight(n)
-        return (self._quot_cache.get(n) or self._quotient_data(n))[0]
+        return (self._records.get(n) or self._quotient_data(n))[0]
 
     def basis(self, n: int, weight=None) -> list[Monomial]:
         by_w = self.basis_by_weight(n)
@@ -350,27 +343,37 @@ class DGA:
         return sum(map(len, self.basis_by_weight(n).values()))
 
     def _quotient_data(self, n: int):
-        """``(by_weight, pivots)`` of the quotient in degree n.
+        """``(by_weight, pivots, ideal)`` of the quotient in degree n, built
+        after the lower degrees.
 
         ``by_weight`` maps each weight with a nonzero block to its sorted
         transversal monomials (the non-pivot columns); ``pivots`` maps each
         pivot monomial to its reduced form, the integer image
         ``(p, {transversal monomial: -v})`` of its primitive RREF row
         p·pivot + Σ v·t. That row has gcd 1, so the form is in lowest terms.
+        ``ideal`` maps each weight with a nonzero block of I to its free
+        monomials and its RREF rows, as ``ideal_block`` returns them.
         The ideal is block-diagonal over weights, and the RREF of a
         block-diagonal matrix is the union of its blocks' RREFs; RREF is
         unique, so eliminating block by block gives the degree-wide result.
         The degree-wide basis is sorted by weight first, so a block's own
         column order is the degree-wide one.
         """
-        cached = self._quot_cache.get(n)
-        if cached is not None:
-            return cached
-        by_weight = {}
-        pivots = {}
-        ideal = {}
+        records = self._records
+        if n in records:
+            return records[n]
+        for k in range(n):
+            if k not in records:
+                self._quotient_data(k)
+
+        def lower(k, u):
+            block = records[k][2].get(u)
+            return block and (zip(block[0], repeat(1)), block[1])
+
+        by_weight, pivots, ideal = {}, {}, {}
         for w, monos in sorted(self.gs.basis_by_weight(n).items()):
-            pivot_cols, rows = self._quotient_block(n, w)
+            pivot_cols, rows = ideal_block(self.gs, self.relation_groups, n, w,
+                                           lower, monos)
             # an RREF row starts at its pivot, and is zero at the others
             for cols, nums in rows:
                 pivots[monos[cols[0]]] = (nums[0], {monos[c]: -v for c, v in
@@ -381,30 +384,14 @@ class DGA:
             transversal = [m for i, m in enumerate(monos) if i not in pivot_set]
             if transversal:
                 by_weight[w] = transversal
-        self._ideal_rows[n] = ideal
-        cached = (by_weight, pivots)
-        self._quot_cache[n] = cached
-        return cached
-
-    def _quotient_block(self, n: int, w):
-        """``ideal_block`` of the weight-w block of degree n, uncached, from
-        the ring's own lower blocks, built first in rising degree."""
-        for k in range(n):
-            if k not in self._ideal_rows:
-                self._quotient_data(k)
-
-        def lower(k, u):
-            block = self._ideal_rows[k].get(u)
-            return block and (zip(block[0], repeat(1)), block[1])
-
-        return ideal_block(self.gs, self.relation_groups, n, w, lower,
-                           self.gs.basis_by_weight(n)[w])
+        records[n] = by_weight, pivots, ideal
+        return records[n]
 
     def reduced_monomial(self, m: Monomial):
         """The reduced form of m as an integer image: m itself off the
         pivots, else its pivot form (see ``_quotient_data``), not mutated."""
         n = self.gs.degree(m)
-        form = (self._quot_cache.get(n) or self._quotient_data(n))[1].get(m)
+        form = (self._records.get(n) or self._quotient_data(n))[1].get(m)
         return form or (1, {m: 1})
 
     def reduce(self, x: Element) -> Element:
@@ -488,19 +475,16 @@ class DGA:
         # B ⊆ Z: d(n) kills the pivot columns of d(n-1), which span the rest
         if b_in and not ela._kills(up_rows, b_in):
             raise InternalInconsistency("coboundaries do not lie in cocycles")
-        b_rows = [dict(zip(*b)) for b in b_in]
-        free = [max(z) for z in z_vecs]
-        coords = [{k: b[f] for k, f in enumerate(free) if f in b}
-                  for b in b_rows]
+        free = {max(z): k for k, z in enumerate(z_vecs)}
+        coords = [{free[c]: v for c, v in zip(*b) if c in free} for b in b_in]
         reps_idx = ela.cokernel_complement_indices(coords, len(z_vecs)) \
             if coords else list(range(len(z_vecs)))
-        if len(reps_idx) != len(z_vecs) - len(b_rows):
+        if len(reps_idx) != len(z_vecs) - len(b_in):
             raise InternalInconsistency("coboundaries are dependent in cocycles")
         return CohomologyBlock(
             degree=n,
             weight=w,
             monomials=src,
-            coboundary_vectors=b_rows,
             representative_vectors=[z_vecs[k] for k in reps_idx],
             coordinates=coords,
             positions=reps_idx,

@@ -42,9 +42,6 @@ class RationalMatrix:
         self.rows = rows
         self.den = den
 
-    def __repr__(self):
-        return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
-
 
 def _row(pairs):
     """The integer row ``(cols, nums)`` of ``(col, int)`` pairs with distinct

@@ -122,9 +122,6 @@ class GeneratorSet:
         # the bases catch up with the new generator when next read
         return g
 
-    def __len__(self):
-        return len(self.gens)
-
     def __getitem__(self, name: str) -> Generator:
         return self._by_name[name]
 
@@ -281,10 +278,6 @@ class GeneratorSet:
         from fractions import Fraction
         return Element(self, {self.monomial_of(name): Fraction(1)})
 
-    def element(self, terms: dict) -> "Element":
-        from fractions import Fraction
-        return Element(self, {m: Fraction(c) for m, c in terms.items() if c})
-
 
 class Element:
     """Finite rational linear combination of monomials."""
@@ -314,9 +307,6 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -333,15 +323,12 @@ class Element:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "Element":
+    def __rmul__(self, c) -> "Element":
+        """The scalar multiple c·self."""
         from fractions import Fraction
         c = Fraction(c)
-        if not c:
-            return Element(self.gs, {})
-        return Element(self.gs, {m: v * c for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
+        return Element(self.gs,
+                       {m: v * c for m, v in self.terms.items()} if c else {})
 
     def __mul__(self, other: "Element") -> "Element":
         gs = self.gs
@@ -357,18 +344,6 @@ class Element:
                 else:
                     del out[m]
         return Element(gs, out)
-
-    def __pow__(self, n: int) -> "Element":
-        result = self.gs.unit()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def word_component(self, k: int) -> "Element":
-        """The terms of word length at least k."""
-        gs = self.gs
-        return Element(gs, {m: c for m, c in self.terms.items()
-                            if gs.word_length(m) >= k})
 
     def render(self) -> str:
         den, terms = _cleared(self.terms)

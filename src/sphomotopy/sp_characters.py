@@ -30,9 +30,10 @@ def highest_weight(label) -> tuple:
 
 
 def label_of_weight(w) -> tuple:
-    """Inverse of ``highest_weight``; requires a dominant weight."""
+    """Inverse of ``highest_weight``; requires a dominant weight. The
+    weight of length 0 (rank 0) is the label of the trivial character."""
     g = len(w)
-    if any(w[i] < w[i + 1] for i in range(g - 1)) or w[-1] < 0:
+    if any(w[i] < w[i + 1] for i in range(g - 1)) or min(w, default=0) < 0:
         raise ValueError(f"{w} is not dominant")
     return tuple(w[i] - (w[i + 1] if i + 1 < g else 0) for i in range(g))
 
@@ -233,20 +234,6 @@ def decompose(char: dict) -> dict:
                 remaining.pop(w, None)
         out[lab] = mult  # top is gone from remaining, so lab comes once
     return out
-
-
-def tensor_character(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for w1, m1 in x.items():
-        for w2, m2 in y.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            out[w] = out.get(w, 0) + m1 * m2
-    return out
-
-
-def tensor_decompose(x, y) -> dict:
-    """Decomposition of the tensor product of two irreducibles."""
-    return decompose(tensor_character(irrep_character(x), irrep_character(y)))
 
 
 def n_bound(label) -> int:

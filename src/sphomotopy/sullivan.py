@@ -47,6 +47,7 @@ the stage decompositions are choice-independent.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 from typing import NamedTuple
 
@@ -80,14 +81,9 @@ class MinimalModelStage(NamedTuple):
     def dim(self) -> int:
         return len(self.generators)
 
-    def character(self) -> dict:
-        char: dict = {}
-        for g in self.generators:
-            char[g.weight] = char.get(g.weight, 0) + 1
-        return char
-
     def irreps(self) -> dict:
-        return sp_characters.decompose(self.character())
+        """The decomposition of the character of the generators' weights."""
+        return sp_characters.decompose(Counter(g.weight for g in self.generators))
 
 
 class MinimalModel:
@@ -109,9 +105,10 @@ class MinimalModel:
         # before any product
         self._rho_odd = 0
         self._rho_even: set = set()
-        # (n, {weight: complement positions in A^n_w}) for the next stage;
-        # H^2 of the empty model is 0
-        self._complements: tuple = (2, {})
+        # (n, {weight: complement positions in A^n_w}) for the next stage,
+        # n its degree; H^2 of the empty model is 0. None once the stages
+        # were built by hand
+        self._complements: tuple | None = (2, {})
 
     # -- structure map -------------------------------------------------------
 
@@ -188,20 +185,20 @@ class MinimalModel:
                 self._rho_even.add(g.ordinal)
         return g
 
-    def extend_stage(self, n: int) -> MinimalModelStage:
-        """Compute and adjoin the degree-n generators.
+    def extend_stage(self) -> MinimalModelStage:
+        """Compute and adjoin the generators of the next degree n, from 2
+        on.
 
         Requires all earlier stages, built by this method: the C part is
         the complement stored by stage n-1. Performs the stagewise
         consistency checks (injectivity of the induced map on the next
         stage's H^{n+1}, weight preservation) as it goes.
         """
-        if n < 2:
-            raise ValueError("stages start at degree 2")
-        if self.stages and self.stages[-1].degree != n - 1:
-            raise ValueError("stages must be built consecutively")
-        if not self.stages and n != 2:
-            raise ValueError("first stage is degree 2")
+        if self._complements is None:
+            raise ValueError("the stages were built by hand; none can follow")
+        # C part: complement of the induced image in target degree n, as
+        # the previous stage's N pass found it
+        n, complements = self._complements
         gs = self.dga.gs
         gs.check_budget((n, n + 1, n + 2), self.budget)
         A = self.target
@@ -212,11 +209,6 @@ class MinimalModel:
             counters[w] = k + 1
             return f"v{n}_" + ",".join(str(c) for c in w) + f"_{k}"
 
-        # C part: complement of the induced image in target degree n, as
-        # the previous stage's N pass found it
-        degree, complements = self._complements
-        if degree != n:
-            raise ValueError(f"stage {n - 1} was not built by extend_stage")
         c_plan = []
         for w, a_basis in sorted(A.basis_by_weight(n).items()):
             for pos in complements.get(w, range(len(a_basis))):
@@ -307,9 +299,6 @@ class MinimalModel:
             raise ValueError(f"no stage of degree {n}: built {built}")
         return self.stages[n - 2]
 
-    def dims(self) -> dict:
-        return {s.degree: s.dim for s in self.stages}
-
     def verify_quasi_iso(self, up_to: int) -> "QuasiIsoReport":
         """Recompute cohomology of the built model and the induced map,
         degree by degree: isomorphism through ``up_to``, injectivity one
@@ -399,10 +388,6 @@ class QuasiIsoReport:
     def failures(self):
         return [e for e in self.entries if not e["ok"]]
 
-    def __repr__(self):
-        status = "ok" if self.ok else f"FAILED at {self.failures()}"
-        return f"<QuasiIsoReport through {len(self.entries) - 2}: {status}>"
-
 
 def build(target: DGA, max_degree: int,
           budget: int | None = None) -> MinimalModel:
@@ -410,8 +395,8 @@ def build(target: DGA, max_degree: int,
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     model = MinimalModel(target, budget)
-    for n in range(2, max_degree + 1):
-        model.extend_stage(n)
+    for _ in range(2, max_degree + 1):
+        model.extend_stage()
     return model
 
 
@@ -467,6 +452,7 @@ def invariant_model(g: int, max_degree: int,
             raise InternalInconsistency(f"structure map fails to kill d({name})")
     model.stages = [MinimalModelStage(n, by_degree.get(n, []))
                     for n in range(2, max_degree + 1)]
+    model._complements = None
     report = model.verify_quasi_iso(max_degree)
     if not report.ok:
         raise ValidationFailure(

@@ -8,8 +8,9 @@ from sphomotopy.dga import as_element
 from cleared import echelon
 
 
-def whole_degree_quotient(ring, n):
-    """One elimination over every r·m product of degree n.
+def whole_degree_quotient(ring, relations, n):
+    """One elimination over every r·m product of degree n, r over the
+    integer images ``relations`` the ring was built from.
 
     Returns ``(transversal, rows)``: the non-pivot monomials in basis
     order, and ``{pivot monomial: RREF row as {monomial: Fraction}}`` in
@@ -19,13 +20,13 @@ def whole_degree_quotient(ring, n):
     monos = gs.basis(n)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
-    for image in ring.relations:
+    for image in relations:
         r = as_element(gs, image)
         dr = r.degree()
         if dr is None or dr > n:
             continue
         for m in gs.basis(n - dr):
-            prod = r * gs.element({m: 1})
+            prod = r * as_element(gs, (1, {m: 1}))
             if not prod.is_zero():
                 rows.append({index[mm]: c for mm, c in prod.terms.items()})
     pivots, rref_rows = echelon(rows)

@@ -14,6 +14,14 @@ from sphomotopy.free_gca import Element
 from cleared import canonical, cleared_matrix
 
 
+def power(x, n):
+    """x^n as the product of n factors x; x^0 is the unit."""
+    out = x.gs.unit()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
 def symplectic_form_element(gs, g):
     """ω = Σ γ_i γ_{i+g}, the invariant 2-form in the odd classes."""
     out = gs.zero()
@@ -41,14 +49,14 @@ def primitive_basis(g, k):
     if k == 0:
         return [gs.unit()]
     src = [m for m in gs.basis(3 * k) if m.even == () and m.odd.bit_count() == k]
-    power = g - k + 1
-    omega_pow = symplectic_form_element(gs, g) ** power
-    dst = [m for m in gs.basis(3 * (k + 2 * power))
-           if m.even == () and m.odd.bit_count() == k + 2 * power]
+    e = g - k + 1
+    omega_pow = power(symplectic_form_element(gs, g), e)
+    dst = [m for m in gs.basis(3 * (k + 2 * e))
+           if m.even == () and m.odd.bit_count() == k + 2 * e]
     index = {m: i for i, m in enumerate(dst)}
     columns = []
     for m in src:
-        prod = omega_pow * gs.element({m: 1})
+        prod = omega_pow * Element(gs, {m: 1})
         columns.append({index[mm]: c for mm, c in prod.terms.items()})
     vecs = ela.kernel_basis(cleared_matrix(columns), len(dst))
     return [Element(gs, {src[i]: v for i, v in canonical(vec).items()})
@@ -63,9 +71,9 @@ def expand_invariant(poly, gs_full, g):
     out = gs_full.zero()
     for m, c in poly.terms.items():
         exps = dict(m.even)
-        out = out + gs_full.unit(c) * alpha ** exps.get(src["α"].ordinal, 0) \
-            * beta ** exps.get(src["β"].ordinal, 0) \
-            * gam ** exps.get(src["γ"].ordinal, 0)
+        out = out + gs_full.unit(c) * power(alpha, exps.get(src["α"].ordinal, 0)) \
+            * power(beta, exps.get(src["β"].ordinal, 0)) \
+            * power(gam, exps.get(src["γ"].ordinal, 0))
     return out
 
 

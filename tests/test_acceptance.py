@@ -8,7 +8,7 @@ genus-2 deep build, default 13).
 import json
 import os
 import time
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from sphomotopy import cli, moduli, sp_characters, sullivan, tables
 from sphomotopy.errors import BudgetExceeded
 
 from relation_reference import q_elements
+from test_sp_characters import STD, tensor_decompose, weight_sums
 
 G2_MAXDEG = int(os.environ.get("SPHOMOTOPY_THM63_MAXDEG", "13"))
 
@@ -209,10 +210,7 @@ def test_criterion_8i_nontrivial_representation(capsys, g2_deep, g3_model,
 def test_criterion_8f_character_roundtrip(capsys):
     ok = True
     for g in (2, 3):
-        labels = [[]]
-        for _ in range(g):
-            labels = [l + [v] for l in labels for v in range(4)]
-        for label in map(tuple, labels):
+        for label in product(range(4), repeat=g):
             ok = ok and sp_characters.decompose(
                 sp_characters.irrep_character(label)) == {label: 1}
     with capsys.disabled():
@@ -220,21 +218,12 @@ def test_criterion_8f_character_roundtrip(capsys):
 
 
 def test_criterion_8g_tensor_identities(capsys):
-    std = [w for w, m in sp_characters.irrep_character((1, 0)).items()
-           for _ in range(m)]
-    wedge = {}
-    for w1, w2 in combinations(std, 2):
-        w = (w1[0] + w2[0], w1[1] + w2[1])
-        wedge[w] = wedge.get(w, 0) + 1
+    wedge = weight_sums(combinations(STD, 2))
     ok = sp_characters.decompose(wedge) == {(0, 1): 1, (0, 0): 1}
     for a in (2, 3, 4):
-        sym = {}
-        for combo in combinations_with_replacement(std, a):
-            w = tuple(map(sum, zip(*combo)))
-            sym[w] = sym.get(w, 0) + 1
+        sym = weight_sums(combinations_with_replacement(STD, a))
         ok = ok and sp_characters.decompose(sym) == {(a, 0): 1}
-    ok = ok and sp_characters.tensor_decompose((0, 1), (1, 0)) == \
-        {(1, 1): 1, (1, 0): 1}
+    ok = ok and tensor_decompose((0, 1), (1, 0)) == {(1, 1): 1, (1, 0): 1}
     with capsys.disabled():
         report("8g", "wedge, symmetric and tensor identities", ok)
 
@@ -246,6 +235,6 @@ def test_criterion_8h_negative_containments(capsys):
             x = tuple([k - 2] + [0] * (g - 1))
             y = tuple([0, 1] + [0] * (g - 2))
             forbidden = tuple([k] + [0] * (g - 1))
-            ok = ok and forbidden not in sp_characters.tensor_decompose(x, y)
+            ok = ok and forbidden not in tensor_decompose(x, y)
     with capsys.disabled():
         report("8h", "forbidden labels absent from tensor products", ok)

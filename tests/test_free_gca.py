@@ -60,15 +60,6 @@ def test_count_matches_enumeration(gs2):
         assert gs2._series(degree)[degree] == len(gs2.basis(degree))
 
 
-def test_filtration(gs2):
-    a, g1, g2, b = (gs2.gen(n) for n in ("α", "γ1", "γ2", "β"))
-    x = a + g1 * g2
-    assert x.word_component(2) == g1 * g2
-    assert a.word_component(2).is_zero()
-    y = b + a * b + a * a * a
-    assert y.word_component(2) == a * b + a * a * a
-
-
 def test_render_grammar(gs2):
     a, b, g1, g3 = (gs2.gen(n) for n in ("α", "β", "γ1", "γ3"))
     assert (a * a * b - 2 * (g1 * g3)).render() == "-2·γ1γ3 + α^2·β"

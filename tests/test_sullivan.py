@@ -46,7 +46,7 @@ def g2_model():
 
 def test_sphere_two_stage_model():
     model = sullivan.build(sphere_target(), 6)
-    assert model.dims() == {2: 1, 3: 1, 4: 0, 5: 0, 6: 0}
+    assert [s.dim for s in model.stages] == [1, 1, 0, 0, 0]
     v2 = model.stage(2).generators[0]
     v3 = model.stage(3).generators[0]
     assert parts(model) == {v2.name: "C", v3.name: "N"}
@@ -55,6 +55,13 @@ def test_sphere_two_stage_model():
     h = gs.gen(v2.name)
     assert d_of(model, v3) == h * h
     assert model.verify_quasi_iso(6).ok
+
+
+def test_rank_zero_model_decomposes_and_dumps():
+    """The sphere target's weights have length 0: each stage is a sum of
+    trivial representations, labelled by the empty tuple."""
+    stages = sullivan.build(sphere_target(), 4).to_json_dict()["stages"]
+    assert [s["irreps"] for s in stages] == [[{"label": [], "mult": 1}]] * 2 + [[]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, -1])
@@ -107,11 +114,11 @@ def test_empty_relations_give_a_quotient_ring():
     gs = GeneratorSet(0)
     gs.add("x", 2)
     model = sullivan.build(DGA(gs, relations=[]), 4)
-    assert model.dims() == {2: 1, 3: 0, 4: 0}
+    assert [s.dim for s in model.stages] == [1, 0, 0]
 
 
 def test_g2_stage_dimensions(g2_model):
-    assert g2_model.dims() == {2: 1, 3: 4, 4: 4, 5: 6, 6: 15, 7: 30}
+    assert [s.dim for s in g2_model.stages] == [1, 4, 4, 6, 15, 30]
 
 
 def test_g2_low_degree_decompositions(g2_model):
@@ -156,7 +163,8 @@ def test_g2_model_cohomology_matches_betti(g2_model):
     h = gs.gen(g2_model.stage(2).generators[0].name)
     h3 = h * h * h
     index = {m: i for i, m in enumerate(blk.monomials)}
-    b_rows = blk.coboundary_vectors
+    b_rows = [dict(zip(*b))
+              for b in g2_model.dga._coboundary_rows(6, None, blk.monomials)]
     h3_row = {index[m]: c.numerator for m, c in h3.terms.items()}
     rank_b = ela.rank(b_rows)
     rank_bh = ela.rank(b_rows + [h3_row])
@@ -192,8 +200,8 @@ def test_dropped_generator_fails_injectivity():
     target = moduli.build_cohomology_algebra(2)
     full = sullivan.build(target, 4)
     crippled = sullivan.MinimalModel(moduli.build_cohomology_algebra(2))
-    for n in (2, 3):
-        crippled.extend_stage(n)
+    for _ in (2, 3):
+        crippled.extend_stage()
     # monomials are value objects: the image reads the same in both
     bucket = [crippled._register(g.name, 4, g.weight, full.dga._d_gen[g.index], None)
               for g in full.stage(4).generators[:-1]]
@@ -252,7 +260,7 @@ def test_reused_c_plan_matches_recomputation(g, top):
     c_gens = 0
     for n in range(2, top + 1):
         want = _reference_c_plan(model, n)
-        stage = model.extend_stage(n)
+        stage = model.extend_stage()
         part = parts(model)
         got = [(gen.weight, rho_of(model, gen)) for gen in stage.generators
                if part[gen.name] == "C"]
@@ -272,10 +280,10 @@ def test_transgression_into_coboundaries_rejected(monkeypatch):
             coordinates=blk.coordinates + [{p: 1} for p in blk.positions])
 
     model = sullivan.MinimalModel(sphere_target())
-    model.extend_stage(2)
+    model.extend_stage()
     monkeypatch.setattr(DGA, "cohomology", kernel_claimed_bounding)
     with pytest.raises(InternalInconsistency, match="not injective on H"):
-        model.extend_stage(3)
+        model.extend_stage()
 
 
 def _bump_below_free(vecs):
@@ -431,8 +439,8 @@ def test_kernel_part_matches_fraction_reference(g, top, monkeypatch):
 
 def test_stage_after_hand_built_stages_rejected():
     model = sullivan.invariant_model(2, 13)
-    with pytest.raises(ValueError):
-        model.extend_stage(14)
+    with pytest.raises(ValueError, match="built by hand"):
+        model.extend_stage()
 
 
 def test_budget_guard():
@@ -533,7 +541,7 @@ def test_word_length_one_differential_detected():
     assert model.dga.basis(2, ()) == [v2]
     one = {0: 1}
     blk = CohomologyBlock(degree=2, weight=(), monomials=[v2],
-                          coboundary_vectors=[], representative_vectors=[one],
+                          representative_vectors=[one],
                           coordinates=[], positions=[0],
                           d_rows=model.dga._d_rows(2, ())[1])
     with pytest.raises(InternalInconsistency, match="word-length-1 term"):
@@ -546,7 +554,7 @@ def test_rho_columns_reject_foreign_terms(monkeypatch):
     target = sphere_target()
     h = target.gs.gen("h")
     model = sullivan.MinimalModel(target)
-    model.extend_stage(2)
+    model.extend_stage()
     blk = model.dga.cohomology(2, ())
     assert model._rho_columns(blk, target.basis(2, ())) == [{0: 1}]
     monkeypatch.setattr(model, "rho_of_monomial", lambda m: integer_image(h * h))
@@ -557,7 +565,7 @@ def test_rho_columns_reject_foreign_terms(monkeypatch):
     monkeypatch.setattr(model, "rho_of_monomial", lambda m: integer_image(h))
     with pytest.raises(InternalInconsistency,
                        match=r"leaves the \(4, \(\)\) block"):
-        model.extend_stage(3)
+        model.extend_stage()
 
 
 def _reference_rho(model):
@@ -569,7 +577,8 @@ def _reference_rho(model):
     A = model.target
     gs = model.dga.gs
     rho = model.rho
-    images = {g.index: A.gs.element({rho[g.index]: 1} if g.index in rho else {})
+    images = {g.index: as_element(A.gs, (1, {rho[g.index]: 1} if g.index in rho
+                                             else {}))
               for g in gs.gens}
     cache = {ONE: A.gs.unit()}
     unreduced = []
@@ -622,7 +631,7 @@ def test_rho_star_is_reduced(g2_model):
     total = g2_model.dga.gs.zero()
     for n in range(2, 8):
         for k, m in enumerate(g2_model.dga.gs.basis(n)):
-            x = g2_model.dga.gs.element({m: k + 1})
+            x = as_element(g2_model.dga.gs, (1, {m: k + 1}))
             total = total + x
             image = g2_model.rho_star(x)
             assert image == A.reduce(image), m
