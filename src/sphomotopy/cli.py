@@ -9,9 +9,11 @@ Subcommands:
 * ``verify``         golden verification suites; exit code 0 iff PASS.
 
 ``--budget`` caps the number of monomials any single degree may
-enumerate (default from SPHOMOTOPY_BUDGET, else 500000); a budget below
-1, from either source, is an error. A verify suite with no checks in the
-requested range fails.
+enumerate, counted from the generator degrees before any generator set
+is built. ``main`` resolves it once, before the command runs: the flag,
+else SPHOMOTOPY_BUDGET, else 500000; a value that is not an integer of
+at least 1, from either source, is an error for every command. A verify
+suite with no checks in the requested range fails.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 
 from . import moduli, sp_characters, sullivan, tables
 from .errors import SphomotopyError
-from .free_gca import render_terms
+from .free_gca import DEFAULT_BUDGET, check_budget, render_terms
 
 
 def cmd_betti(args) -> int:
@@ -48,7 +50,7 @@ def cmd_relations(args) -> int:
         # the primitive parts enumerate only odd products, through degree
         # 3g; the counts through degree 6g+3 guard the relation recursion,
         # whose cost grows with g, and refuse a large genus before it runs
-        moduli.full_generators(g).check_budget(range(6 * g + 4), args.budget)
+        check_budget(moduli.full_degrees(g), range(6 * g + 4), args.budget)
     degrees = [2 * g, 2 * g + 2, 2 * g + 4]
     payload = {"genus": g, "degrees": degrees, "q": _render_triple(g)}
     if g >= 2:
@@ -251,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     def common(sp, genus_required=True):
         sp.add_argument("--genus", type=int, required=genus_required)
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--budget", type=int)
 
     b = sub.add_parser("betti", help="Betti table, two computation paths")
     common(b)
@@ -269,19 +271,29 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a golden verification suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
-    v.add_argument("--genus", type=int, default=None)
-    v.add_argument("--max-degree", type=int, default=None)
-    v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--budget", type=int, default=None)
+    common(v, genus_required=False)
+    v.add_argument("--max-degree", type=int)
     v.set_defaults(func=cmd_verify)
     return p
+
+
+def _budget(flag) -> int:
+    """The run's budget: the flag, else SPHOMOTOPY_BUDGET, else the default."""
+    name = "--budget" if flag is not None else "SPHOMOTOPY_BUDGET"
+    raw = flag if flag is not None else os.environ.get(name, DEFAULT_BUDGET)
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"{name} must be at least 1, got {budget}")
+    return budget
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.budget is not None and args.budget < 1:
-            raise ValueError(f"--budget must be at least 1, got {args.budget}")
+        args.budget = _budget(args.budget)
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return rc

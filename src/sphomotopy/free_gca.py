@@ -11,8 +11,9 @@ Monomials are value objects independent of later generator additions, so
 a generator set grows append-only (the degreewise model construction
 relies on this). A degree's basis is built once and extended, not
 rebuilt, when generators are added: each monomial is made exactly once.
-Sizes come from the Poincaré series alone (``_series``), which the budget
-check reads before anything is enumerated.
+Sizes come from the Poincaré series of the generator degrees alone
+(``check_budget``), so the budget is checked before any generator set is
+built.
 
 The ``Element`` constructors import ``fractions`` when called: no
 command-line run builds a ``Fraction``, so none pays for importing it
@@ -21,7 +22,6 @@ command-line run builds a ``Fraction``, so none pays for importing it
 
 from __future__ import annotations
 
-import os
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -32,16 +32,26 @@ from .exact_linalg import _cleared
 DEFAULT_BUDGET = 500_000
 
 
-def configured_budget() -> int:
-    raw = os.environ.get("SPHOMOTOPY_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"SPHOMOTOPY_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 1:
-        raise ValueError(f"SPHOMOTOPY_BUDGET must be at least 1, got {budget}")
-    return budget
+def check_budget(gen_degrees, degrees, budget: int):
+    """Raise BudgetExceeded at the first of ``degrees`` where the free
+    algebra on generators of degrees ``gen_degrees`` has more than
+    ``budget`` monomials. The counts are Poincaré series coefficients, so
+    no generator set is needed and nothing is enumerated; a degree past
+    the series makes one to 2·deg."""
+    counts: list = []
+    for deg in degrees:
+        if deg >= len(counts):
+            top = max(2 * deg, 8)
+            counts = [1] + [0] * top
+            for d in gen_degrees:
+                if d % 2:
+                    for i in range(top, d - 1, -1):
+                        counts[i] += counts[i - d]
+                else:
+                    for i in range(d, top + 1):
+                        counts[i] += counts[i - d]
+        if counts[deg] > budget:
+            raise BudgetExceeded(deg, counts[deg], budget)
 
 
 class Monomial(NamedTuple):
@@ -238,33 +248,6 @@ class GeneratorSet:
         return max(self.even[m.even[-1][0]].index if m.even else -1,
                    self.odd[m.odd.bit_length() - 1].index if m.odd else -1)
 
-    def _series(self, top: int) -> list:
-        """Monomial counts of degrees 0..top by series coefficients."""
-        counts = [1] + [0] * top
-        for g in self.gens:
-            d = g.degree
-            if g.is_odd:
-                for i in range(top, d - 1, -1):
-                    counts[i] += counts[i - d]
-            else:
-                for i in range(d, top + 1):
-                    counts[i] += counts[i - d]
-        return counts
-
-    def check_budget(self, degrees, budget: int | None = None):
-        """Raise BudgetExceeded at the first degree with more monomials
-        than ``budget`` (default ``configured_budget()``); counts only,
-        nothing is enumerated. A degree past the series makes one to 2·deg."""
-        if budget is None:
-            budget = configured_budget()
-        counts: list = []
-        for deg in degrees:
-            if deg >= len(counts):
-                counts = self._series(max(2 * deg, 8))
-            est = counts[deg]
-            if est > budget:
-                raise BudgetExceeded(deg, est, budget)
-
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> "Element":
@@ -290,19 +273,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        """Degree if homogeneous, else raises."""
-        degs = {self.gs.degree(m) for m in self.terms}
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element: degrees {sorted(degs)}")
-        return degs.pop() if degs else None
-
-    def weight(self):
-        ws = {self.gs.weight(m) for m in self.terms}
-        if len(ws) > 1:
-            raise ValueError("element is not weight-homogeneous")
-        return ws.pop() if ws else None
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms

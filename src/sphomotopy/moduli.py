@@ -29,7 +29,8 @@ from typing import NamedTuple
 from . import exact_linalg as ela
 from .dga import DGA, ideal_block, image_sum
 from .errors import ValidationFailure
-from .free_gca import ONE, GeneratorSet, Monomial, _bits
+from .free_gca import (DEFAULT_BUDGET, ONE, GeneratorSet, Monomial, _bits,
+                       check_budget)
 from .sp_characters import _dominant_orbit_rep
 
 
@@ -43,6 +44,12 @@ def invariant_generators(g: int) -> GeneratorSet:
     gs.add("β", 4)
     gs.add("γ", 6)
     return gs
+
+
+def full_degrees(g: int) -> list:
+    """The degrees of ``full_generators(g)``, in its order, for the budget
+    check that runs before the set is built."""
+    return [2] + [3] * (2 * g) + [4]
 
 
 def full_generators(g: int) -> GeneratorSet:
@@ -420,18 +427,18 @@ def betti_decomposition(g: int):
     return out
 
 
-def build_cohomology_algebra(g: int, budget: int | None = None) -> DGA:
+def build_cohomology_algebra(g: int, budget: int = DEFAULT_BUDGET) -> DGA:
     """The full ring, certified by ``_full_ring``. A degree is row-reduced
     in full only when it is first read."""
     return _full_ring(g, budget)[0]
 
 
-def betti_numbers(g: int, budget: int | None = None):
+def betti_numbers(g: int, budget: int = DEFAULT_BUDGET):
     """b_0..b_{6g-6} of the full ring, cross-checked by ``_full_ring``."""
     return _full_ring(g, budget)[1]
 
 
-def _full_ring(g: int, budget: int | None):
+def _full_ring(g: int, budget: int):
     """``(ring, betti)``: the quotient of the free algebra by the ideal on
     E, and its Betti numbers, once every postcondition has passed.
 
@@ -456,11 +463,10 @@ def _full_ring(g: int, budget: int | None):
     """
     if g < 2:
         raise ValueError("the full ring needs genus >= 2")
-    gs = full_generators(g)
-    # refuse before forming products, on the counts through degree 6g-3:
+    # refuse before building anything, on the counts through degree 6g-3:
     # the model path reads whole degrees of the free algebra
-    gs.check_budget(range(6 * g - 2), budget)
-    ring = DGA(gs, relations=relation_subspace_E(g))
+    check_budget(full_degrees(g), range(6 * g - 2), budget)
+    ring = DGA(full_generators(g), relations=relation_subspace_E(g))
     _certify_weyl_stable(ring, g)
     dims = [0] * (6 * g - 2)
     for (n, w), (monos, pivot_cols, _) in _dominant_blocks(ring, g).items():

@@ -56,8 +56,8 @@ from . import moduli, sp_characters
 from .dga import _ZERO, DGA, element_sum, image_sum
 from .errors import (InternalInconsistency, TargetNotOneConnected,
                      ValidationFailure)
-from .free_gca import (ONE, Element, GeneratorSet, Monomial, _bits,
-                       configured_budget, render_terms)
+from .free_gca import (DEFAULT_BUDGET, ONE, Element, GeneratorSet, Monomial,
+                       _bits, check_budget, render_terms)
 
 
 def _combination(coeffs: dict, vectors) -> dict:
@@ -87,7 +87,7 @@ class MinimalModelStage(NamedTuple):
 
 
 class MinimalModel:
-    def __init__(self, target: DGA, budget: int | None = None):
+    def __init__(self, target: DGA, budget: int = DEFAULT_BUDGET):
         if not target.is_quotient():
             raise ValidationFailure("the target must be a quotient ring")
         if target.basis(0) != [ONE]:
@@ -95,7 +95,7 @@ class MinimalModel:
         if target.dim(1) != 0:
             raise TargetNotOneConnected("degree-1 part is nonzero")
         self.target = target
-        self.budget = budget if budget is not None else configured_budget()
+        self.budget = budget
         self.dga = DGA(GeneratorSet(target.gs.weight_len))
         self.stages: list[MinimalModelStage] = []
         # generator index -> its target monomial; absent when ρ(g) = 0
@@ -200,7 +200,7 @@ class MinimalModel:
         # the previous stage's N pass found it
         n, complements = self._complements
         gs = self.dga.gs
-        gs.check_budget((n, n + 1, n + 2), self.budget)
+        check_budget([g.degree for g in gs.gens], (n, n + 1, n + 2), self.budget)
         A = self.target
         counters: dict = {}
 
@@ -390,7 +390,7 @@ class QuasiIsoReport:
 
 
 def build(target: DGA, max_degree: int,
-          budget: int | None = None) -> MinimalModel:
+          budget: int = DEFAULT_BUDGET) -> MinimalModel:
     """Run the construction from degree 2 through ``max_degree``."""
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -401,7 +401,7 @@ def build(target: DGA, max_degree: int,
 
 
 def invariant_model(g: int, max_degree: int,
-                    budget: int | None = None) -> MinimalModel:
+                    budget: int = DEFAULT_BUDGET) -> MinimalModel:
     """The finite model of the invariant subring: cocycles α, β, γ plus
     odd classes f1, f2, f3 transgressing to the relation triple.
 
@@ -419,10 +419,8 @@ def invariant_model(g: int, max_degree: int,
     if max_degree < 2 * g + 3:
         raise ValueError("max_degree must reach the last generator degree")
     # the stages' budget, before the ring (its α, β, γ are among these six)
-    gens = GeneratorSet(0)
-    for k, deg in enumerate((2, 4, 6, 2 * g - 1, 2 * g + 1, 2 * g + 3)):
-        gens.add(str(k), deg)
-    gens.check_budget(range(2, max_degree + 3), budget)
+    check_budget((2, 4, 6, 2 * g - 1, 2 * g + 1, 2 * g + 3),
+                 range(2, max_degree + 3), budget)
     A = moduli.invariant_ring(g, check_up_to=max_degree + 2)
     model = MinimalModel(A, budget)
     q = moduli.q_polynomials(g)

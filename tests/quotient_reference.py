@@ -6,6 +6,7 @@ from fractions import Fraction
 from sphomotopy.dga import as_element
 
 from cleared import echelon
+from relation_reference import homogeneous
 
 
 def whole_degree_quotient(ring, relations, n):
@@ -22,7 +23,7 @@ def whole_degree_quotient(ring, relations, n):
     rows = []
     for image in relations:
         r = as_element(gs, image)
-        dr = r.degree()
+        dr = homogeneous(r, gs.degree)
         if dr is None or dr > n:
             continue
         for m in gs.basis(n - dr):

@@ -14,6 +14,14 @@ from sphomotopy.free_gca import Element
 from cleared import canonical, cleared_matrix
 
 
+def homogeneous(x, of):
+    """The one value of ``of`` (``gs.degree`` or ``gs.weight``) on the
+    terms of the ``Element`` x, asserted to be one; None when x is zero."""
+    values = {of(m) for m in x.terms}
+    assert len(values) <= 1, f"not homogeneous: {sorted(values)}"
+    return values.pop() if values else None
+
+
 def power(x, n):
     """x^n as the product of n factors x; x^0 is the unit."""
     out = x.gs.unit()

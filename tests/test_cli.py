@@ -171,6 +171,28 @@ def test_default_budget_refuses_genus_300_first(monkeypatch, argv):
     one_error_line(res, "error: monomial budget exceeded")
 
 
+@pytest.mark.parametrize("argv", [
+    ("betti", "--genus", "100000"),
+    ("relations", "--genus", "100000"),
+    ("minimal-model", "--genus", "100000", "--max-degree", "3"),
+    ("verify", "--suite", "higher-genus", "--genus", "100000"),
+], ids=["betti", "relations", "minimal-model", "verify"])
+def test_default_budget_refuses_genus_100000_before_the_generators(
+        monkeypatch, capsys, argv):
+    """The budget is counted from the generator degrees: no command builds
+    the 2g weight tuples of length g (O(g²) memory) before it refuses."""
+    def unbuilt(g):
+        raise AssertionError(f"full_generators({g}) built before the budget check")
+
+    monkeypatch.delenv("SPHOMOTOPY_BUDGET", raising=False)
+    monkeypatch.setattr(moduli, "full_generators", unbuilt)
+    assert cli.main(list(argv)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: monomial budget exceeded at degree 6: estimated "
+                       "19999900002 monomials > budget 500000\n")
+
+
 def test_invariant_model_genus_12_is_quick():
     """The genus-12 stages are trivial representations; decomposing them
     must not walk the 12! permutations of a zero weight."""
@@ -350,11 +372,20 @@ def test_weyl_certificate_failure_is_one_error_line(monkeypatch, capsys):
 
 def test_non_integer_budget_variable_rejected(monkeypatch, capsys):
     monkeypatch.setenv("SPHOMOTOPY_BUDGET", "abc")
-    with pytest.raises(ValueError, match="SPHOMOTOPY_BUDGET"):
-        sullivan.configured_budget()
     assert cli.main(["betti", "--genus", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: SPHOMOTOPY_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_budget_variable_rejected_where_no_check_runs(monkeypatch, capsys):
+    """The variable is read once, before the command runs: relations at
+    genus 1 reaches no budget check, and refuses a bad value all the same."""
+    monkeypatch.setenv("SPHOMOTOPY_BUDGET", "0")
+    assert cli.main(["relations", "--genus", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: SPHOMOTOPY_BUDGET must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -547,7 +578,8 @@ def test_minimal_model_stream_is_the_dump(monkeypatch, genus, max_degree, target
     out = _RecordingStdout()
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(argv) == 0
-    model = cli._build_model(cli.make_parser().parse_args(argv))
+    # main resolves the budget before the command runs; so does this call
+    model = cli._build_model(cli.make_parser().parse_args(argv + ["--budget", "500000"]))
     dump = {"target": target, **model.to_json_dict(genus=genus),
             "max_degree": max_degree}
     assert json.loads("".join(out.writes)) == dump

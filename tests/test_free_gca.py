@@ -5,7 +5,9 @@ import pytest
 
 from sphomotopy import free_gca as fg
 from sphomotopy.errors import BudgetExceeded
-from sphomotopy.moduli import _free_block, full_generators
+from sphomotopy.moduli import _free_block, full_degrees, full_generators
+
+from relation_reference import homogeneous
 
 
 @pytest.fixture
@@ -55,9 +57,22 @@ def test_basis_weight_partition(gs2):
             assert all(gs2.weight(m) == w for m in monos)
 
 
+def _count(gs, degree):
+    """The budget's monomial count of the degree: a budget of -1 refuses
+    every degree, and the refusal carries the count."""
+    with pytest.raises(BudgetExceeded) as err:
+        fg.check_budget([g.degree for g in gs.gens], [degree], -1)
+    return err.value.estimate
+
+
 def test_count_matches_enumeration(gs2):
     for degree in range(0, 12):
-        assert gs2._series(degree)[degree] == len(gs2.basis(degree))
+        assert _count(gs2, degree) == len(gs2.basis(degree))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 7])
+def test_full_degrees_are_those_of_the_full_generators(genus):
+    assert full_degrees(genus) == [g.degree for g in full_generators(genus).gens]
 
 
 def test_render_grammar(gs2):
@@ -119,7 +134,7 @@ def test_degree_weight_additive(seed, gs2):
     p = x * y
     if p.is_zero() or x.is_zero() or y.is_zero():
         return
-    assert p.degree() == dx + dy
+    assert homogeneous(p, gs2.degree) == dx + dy
     for m in p.terms:
         wx = {gs2.weight(mm) for mm in x.terms}
         wy = {gs2.weight(mm) for mm in y.terms}
@@ -197,7 +212,7 @@ def test_bases_extend_across_interleaved_adds():
     gs.add("v", 7, (0, 0))
     gs.add("e", 4, (0, 1))  # even, the degree and weight of b
     read(range(15))
-    assert gs._series(14)[14] == len(gs.basis(14))
+    assert _count(gs, 14) == len(gs.basis(14))
 
 
 def _model_generators():
@@ -219,7 +234,7 @@ def test_enumerated_weights_match_weight_grouping(make_gs):
         want = _reference_by_weight(gs, degree)
         # same weights in the same order, same monomials in the same order
         assert list(got.items()) == list(want.items()), degree
-        assert sum(map(len, got.values())) == gs._series(degree)[degree]
+        assert sum(map(len, got.values())) == _count(gs, degree)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
@@ -244,7 +259,7 @@ def _first_over(gs, degrees, budget):
     """(degree, estimate) where a count per degree first exceeds
     ``budget``, or None."""
     for deg in degrees:
-        est = gs._series(deg)[deg]
+        est = _count(gs, deg)
         if est > budget:
             return deg, est
     return None
@@ -259,25 +274,28 @@ def test_check_budget_refuses_where_the_per_degree_count_does(genus, budget):
     for degrees in (range(6 * genus + 4), [30, 4, 61, 2, 17, 9, 0, 130, 5]):
         want = _first_over(gs, degrees, budget)
         if want is None:
-            gs.check_budget(degrees, budget)
+            fg.check_budget(full_degrees(genus), degrees, budget)
             continue
         with pytest.raises(BudgetExceeded) as err:
-            gs.check_budget(degrees, budget)
+            fg.check_budget(full_degrees(genus), degrees, budget)
         assert (err.value.degree, err.value.estimate) == want
 
 
-def test_check_budget_doubles_its_series(monkeypatch):
+class _ReadCounted(list):
+    """A list of generator degrees that counts its reads: one per series."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_check_budget_doubles_its_series():
     """A scan of degrees 0..6g+3 makes a new series only at a degree past
     the last one's top, and to at least twice that top: a handful of
-    series, not one per degree."""
-    gs = full_generators(40)
-    tops = []
-    series = fg.GeneratorSet._series
-
-    def counted(self, top):
-        tops.append(top)
-        return series(self, top)
-
-    monkeypatch.setattr(fg.GeneratorSet, "_series", counted)
-    gs.check_budget(range(6 * 40 + 4), 10**60)
-    assert tops and all(b >= 2 * a for a, b in zip(tops, tops[1:])), tops
+    series, not one per degree. Tops of at least 8, 16, ..., 256 cover
+    degree 243 with six series."""
+    degrees = _ReadCounted(full_degrees(40))
+    fg.check_budget(degrees, range(6 * 40 + 4), 10**60)
+    assert 1 <= degrees.reads <= 6, degrees.reads

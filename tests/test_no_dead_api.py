@@ -6,6 +6,12 @@ appears as a name, an attribute or an imported name. ``__init__`` is
 exempt: construction calls it. Besides the names the benchmark's tracer
 wraps, only the names on ``ALLOWED`` may go uncalled, each for the reason
 given there.
+
+The check goes by name, not by owner: a method counts as called when any
+attribute of its name is read. So a method named like a field or like
+another class's method passes while only the other is used; that is how
+``Element.degree`` and ``Element.weight`` outlived their last caller, next
+to the ``Generator`` fields and the ``GeneratorSet`` methods of those names.
 """
 
 import ast
